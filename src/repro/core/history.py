@@ -37,7 +37,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import AbstractSet, Iterable
 
 from repro.core.bundle import FileBundle
 from repro.errors import ConfigError
@@ -244,6 +244,11 @@ class RequestHistory:
         return self._mode
 
     @property
+    def decay(self) -> float:
+        """The per-arrival value decay factor (1.0 = no decay)."""
+        return self._decay
+
+    @property
     def arrivals(self) -> int:
         """Total number of arrivals recorded."""
         return self._tick
@@ -312,6 +317,15 @@ class RequestHistory:
         if missing is None:
             return bundle.issubset(self._resident)
         return missing == 0
+
+    def resident_within(self, resident: AbstractSet[FileId]) -> bool:
+        """Whether every file this history believes resident is in ``resident``.
+
+        The notifications can lag the cache (a fault evicting a file the
+        planner was never told about); when they do, a ``CACHE_SUPPORTED``
+        candidate may name files the cache no longer holds.
+        """
+        return self._resident.issubset(resident)
 
     def resident_view(self) -> frozenset[FileId]:
         """The resident set as last synchronised (debug/verification aid)."""

@@ -3,7 +3,8 @@
 On every request arrival:
 
 1. Compute ``S``, the space needed by the missing files of the new bundle.
-2. Run :func:`~repro.core.optcacheselect.opt_cache_select` over the history
+2. Unless the plan is provably inert (see below), run
+   :func:`~repro.core.optcacheselect.opt_cache_select` over the history
    candidates with the remainder of the cache as budget to pick the file set
    ``F(Opt)`` worth retaining.  We reserve the *whole* new bundle (not just
    its missing part) and hand the bundle's files to the selector as
@@ -15,6 +16,22 @@ On every request arrival:
    FULL/WINDOW history truncation, any selected files that are not resident
    — Algorithm 2's ``F(Opt) \\ F(C)`` prefetch).
 4. Update ``L(R)`` with the new request.
+
+Inert-plan fast path
+--------------------
+Step 2 is skipped, and step 3 reduces to loading the missing files, when
+the selection provably cannot change the decision: under
+``CACHE_SUPPORTED`` truncation with lazy eviction and no value decay, when
+the history's resident view is a subset of ``resident`` and the missing
+files fit in the free space (``used + s(missing) <= s(C)``).  Every
+candidate's files are then resident, so the prefetch set is empty, and
+lazy eviction only evicts for space, so there are no victims.  The skipped
+plan has the same ``load``/``prefetch``/``evict``/``request_hit`` as the
+full one; its ``selection`` is ``None``, its ``keep`` is the bundle's
+files, and the ``optbundle.plan``/``optbundle.select`` profiling spans are
+not recorded.  Decay is excluded because
+:meth:`~repro.core.history.RequestHistory.candidates` applies it as a side
+effect, so skipping the call would change later values and later plans.
 
 The planner is pure with respect to the cache: :meth:`plan` computes a
 :class:`LoadPlan` against a caller-supplied resident set, and
@@ -71,7 +88,8 @@ class LoadPlan:
     keep:
         The intended resident set after the plan is applied.
     selection:
-        The raw ``OptCacheSelect`` output backing the plan.
+        The raw ``OptCacheSelect`` output backing the plan; ``None`` when
+        the plan was provably inert and the selection was skipped.
     request_hit:
         True when the bundle was fully resident (no ``load`` needed).
     """
@@ -81,7 +99,7 @@ class LoadPlan:
     prefetch: frozenset[FileId]
     evict: frozenset[FileId]
     keep: frozenset[FileId]
-    selection: CacheSelection
+    selection: CacheSelection | None
     request_hit: bool
 
     @property
@@ -196,11 +214,24 @@ class OptFileBundlePlanner:
         bundle alone cannot fit in the cache, or when pins leave too little
         evictable space.
         """
-        bundle_size = bundle.size_under(self._sizes)
+        sizes = self._sizes
+        bundle_size = bundle.size_under(sizes)
         if bundle_size > self._capacity:
             raise CacheCapacityError(bundle_size, self._capacity)
 
         missing = bundle.missing_from(resident)
+        used = sum(sizes[f] for f in resident)
+        need = sum(sizes[f] for f in missing)
+        if self._provably_inert(resident, used + need):
+            return LoadPlan(
+                bundle=bundle,
+                load=missing,
+                prefetch=frozenset(),
+                evict=frozenset(),
+                keep=bundle.files,
+                selection=None,
+                request_hit=not missing,
+            )
         budget = self._capacity - bundle_size
 
         with self._recorder.span("optbundle.plan"):
@@ -209,7 +240,7 @@ class OptFileBundlePlanner:
                     budget, free=bundle.files, safeguard=self._safeguard
                 )
             else:
-                inst = FBCInstance.from_history(self._history, self._sizes, budget)
+                inst = FBCInstance.from_history(self._history, sizes, budget)
                 selection = opt_cache_select(
                     inst,
                     refine=self._refine,
@@ -220,7 +251,8 @@ class OptFileBundlePlanner:
 
         keep = frozenset(selection.files | bundle.files)
         prefetch = frozenset(selection.files - resident - bundle.files)
-        evict = self._choose_victims(resident, keep, missing, prefetch, pinned)
+        need += sum(sizes[f] for f in prefetch)
+        evict = self._choose_victims(resident, keep, used, need, pinned)
         return LoadPlan(
             bundle=bundle,
             load=missing,
@@ -231,18 +263,34 @@ class OptFileBundlePlanner:
             request_hit=not missing,
         )
 
+    def _provably_inert(
+        self, resident: AbstractSet[FileId], projected: SizeBytes
+    ) -> bool:
+        """True when the selection cannot change this plan's outcome.
+
+        ``projected`` is the resident bytes plus the bundle's missing
+        bytes.  See the module docstring for why the skip is exact.
+        """
+        history = self._history
+        return (
+            projected <= self._capacity
+            and not self._eager
+            and history.mode is TruncationMode.CACHE_SUPPORTED
+            and history.decay == 1.0
+            and history.resident_within(resident)
+        )
+
     def _choose_victims(
         self,
         resident: AbstractSet[FileId],
         keep: frozenset[FileId],
-        missing: frozenset[FileId],
-        prefetch: frozenset[FileId],
+        used: SizeBytes,
+        need: SizeBytes,
         pinned: AbstractSet[FileId],
     ) -> frozenset[FileId]:
+        """Victims freeing room for ``need`` bytes on top of ``used``."""
         unselected = resident - keep - pinned
         sizes = self._sizes
-        used = sum(sizes[f] for f in resident)
-        need = sum(sizes[f] for f in missing) + sum(sizes[f] for f in prefetch)
         if self._eager:
             left = used - sum(sizes[f] for f in unselected)
             if left + need > self._capacity:

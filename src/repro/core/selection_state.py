@@ -215,9 +215,12 @@ class SelectionState:
         ]
         heapq.heapify(heap)
         containing = self._containing
+        # bytes charged outside ``free``: each file is charged once, when
+        # select_one first covers it, so this is the union's footprint
+        charged = 0
 
         def select_one(k: int) -> None:
-            nonlocal remaining
+            nonlocal remaining, charged
             chosen.append(k)
             active[k] = False
             remaining -= rem_real[k]
@@ -226,6 +229,7 @@ class SelectionState:
                     continue
                 selected_files.add(f)
                 af, sf = adj[f], sizes[f]
+                charged += sf
                 for eid in containing[f]:
                     j = pos.get(eid)
                     if j is None or not active[j]:
@@ -245,7 +249,18 @@ class SelectionState:
             else:
                 active[k] = False  # skipped: insufficient space (Step 2)
 
-        inst = FBCInstance.trusted(bundles, values, sizes, budget)
-        return _finish(
-            inst, chosen, safeguard=safeguard, free=frozenset(free), single=single
+        # Step 3, as in _finish: the greedy total is summed in selection
+        # order so the float compares exactly as on the rebuild path
+        total = sum(values[k] for k in chosen)
+        if single is not None and single[1] > total:
+            inst = FBCInstance.trusted(bundles, values, sizes, budget)
+            return _finish(
+                inst, chosen, safeguard=safeguard, free=frozenset(free), single=single
+            )
+        return CacheSelection(
+            selected=tuple(chosen),
+            bundles=tuple(bundles[k] for k in chosen),
+            files=frozenset().union(*[bundles[k].files for k in chosen]),
+            total_value=total,
+            used_bytes=charged,
         )

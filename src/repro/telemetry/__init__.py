@@ -13,7 +13,7 @@ Three cooperating pieces:
   (:mod:`repro.telemetry.metrics`) with Prometheus-text and JSON
   exporters; the simulation result dataclasses read their counters from
   per-run registries.
-* **Profiling** — :func:`span`/:func:`timed`
+* **Profiling** — :func:`span`
   (:mod:`repro.telemetry.profiling`) time the hot paths (planning,
   selection, ``on_request``, SRM staging) into span histograms, kept out
   of the deterministic event stream by design.
@@ -59,7 +59,7 @@ from repro.telemetry.metrics import (
     MetricsFamily,
     MetricsRegistry,
 )
-from repro.telemetry.profiling import span, span_profile, timed
+from repro.telemetry.profiling import span, span_profile
 from repro.telemetry.tracing import (
     REQUEST_ID_HEADER,
     RequestTrace,
@@ -116,7 +116,6 @@ __all__ = [
     "PROMETHEUS_CONTENT_TYPE",
     # profiling
     "span",
-    "timed",
     "span_profile",
     # request tracing
     "REQUEST_ID_HEADER",

@@ -1,4 +1,4 @@
-"""Profiling hooks: ambient ``span()`` blocks and a ``timed()`` decorator.
+"""Profiling hooks: ambient ``span()`` blocks and their summary table.
 
 Timings are host wall-clock and therefore never enter the deterministic
 event stream — they land in the ambient recorder's
@@ -9,15 +9,10 @@ the registry's Prometheus/JSON exporters.
 
 from __future__ import annotations
 
-import functools
-from typing import Callable, TypeVar
-
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.recorder import current_recorder
 
-__all__ = ["span", "timed", "span_profile"]
-
-_F = TypeVar("_F", bound=Callable)
+__all__ = ["span", "span_profile"]
 
 
 def span(name: str):
@@ -30,20 +25,6 @@ def span(name: str):
             plan = planner.plan(bundle, resident)
     """
     return current_recorder().span(name)
-
-
-def timed(name: str) -> Callable[[_F], _F]:
-    """Decorator form of :func:`span` (hook point for coarse call sites)."""
-
-    def decorate(fn: _F) -> _F:
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            with current_recorder().span(name):
-                return fn(*args, **kwargs)
-
-        return wrapper  # type: ignore[return-value]
-
-    return decorate
 
 
 def span_profile(registry: MetricsRegistry) -> list[dict[str, object]]:

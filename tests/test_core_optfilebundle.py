@@ -1,6 +1,10 @@
 """Unit tests for the OptFileBundle online planner (Algorithm 2)."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bundle import FileBundle
 from repro.core.history import TruncationMode
@@ -175,3 +179,134 @@ class TestFullHistoryPrefetch:
             resident = apply(plan, resident)
             p.commit(plan)
             assert plan.prefetch == frozenset()
+
+
+# ---------------------------------------------------------------------- #
+# inert-plan fast path
+
+
+class _AlwaysSelect(OptFileBundlePlanner):
+    """Test seam: a planner that never takes the inert-plan fast path."""
+
+    def _provably_inert(self, resident, projected):
+        return False
+
+
+def _plan_or_error(planner, bundle, resident, pinned):
+    try:
+        return planner.plan(bundle, resident, pinned=pinned)
+    except CacheCapacityError as exc:
+        return type(exc)
+
+
+def _decision(plan):
+    if isinstance(plan, type):
+        return plan
+    return plan.load, plan.prefetch, plan.evict, plan.request_hit
+
+
+def _replay_against_forced(seed, capacity_div, steps, **kwargs):
+    """Drive a planner and its always-selecting twin through one workload.
+
+    The workload mixes arrivals (with random pins), evictions the planners
+    are told about (``observe_eviction``) and evictions they are not told
+    about, after which the history's resident view is stale.  Returns how
+    many plans took the fast path.
+    """
+    rng = random.Random(seed)
+    files = [f"f{i:02d}" for i in range(24)]
+    sizes = {f: rng.randint(1, 20) for f in files}
+    types = [FileBundle(rng.sample(files, rng.randint(1, 4))) for _ in range(16)]
+    capacity = max(sum(sizes.values()) // capacity_div, 80)
+    fast = OptFileBundlePlanner(capacity, sizes, **kwargs)
+    forced = _AlwaysSelect(capacity, sizes, **kwargs)
+    resident: set = set()
+    skipped = 0
+    for _ in range(steps):
+        roll = rng.random()
+        if roll < 0.08 and resident:
+            victim = sorted(resident)[rng.randrange(len(resident))]
+            resident.discard(victim)
+            fast.observe_eviction(victim)
+            forced.observe_eviction(victim)
+            continue
+        if roll < 0.12 and resident:
+            # the cache loses a file behind the planners' backs
+            resident.discard(sorted(resident)[rng.randrange(len(resident))])
+            continue
+        bundle = types[rng.randrange(len(types))]
+        pinned = {f for f in sorted(resident) if rng.random() < 0.15}
+        got = _plan_or_error(fast, bundle, set(resident), pinned)
+        want = _plan_or_error(forced, bundle, set(resident), pinned)
+        assert _decision(got) == _decision(want)
+        if isinstance(got, type):
+            continue
+        assert want.selection is not None
+        if got.selection is None:
+            skipped += 1
+            assert got.keep == bundle.files
+            assert not got.prefetch and not got.evict
+        fast.commit(got)
+        forced.commit(want)
+        resident -= got.evict
+        resident |= got.load | got.prefetch
+    return skipped
+
+
+class TestInertPlanSkip:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        capacity_div=st.integers(1, 5),
+        incremental=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_skipped_plans_match_forced_selection(
+        self, seed, capacity_div, incremental
+    ):
+        _replay_against_forced(seed, capacity_div, 150, incremental=incremental)
+
+    def test_fast_path_fires_on_hit_heavy_workload(self):
+        assert _replay_against_forced(5, 1, 300) > 0
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(truncation=TruncationMode.FULL),
+            dict(truncation=TruncationMode.WINDOW, window=5),
+            dict(decay=0.9),
+            dict(eager_evict=True),
+        ],
+        ids=["full", "window", "decay", "eager"],
+    )
+    def test_configurations_outside_the_guard_always_select(self, kwargs):
+        p = OptFileBundlePlanner(100, SIZES, **kwargs)
+        resident: set = set()
+        for b in (FileBundle(["f0"]), FileBundle(["f1"]), FileBundle(["f0"])):
+            plan = p.plan(b, resident)
+            assert plan.selection is not None
+            resident = apply(plan, resident)
+            p.commit(plan)
+        assert _replay_against_forced(5, 1, 100, **kwargs) == 0
+
+    def test_stale_resident_view_always_selects(self):
+        p = OptFileBundlePlanner(100, SIZES)
+        resident: set = set()
+        for b in (FileBundle(["f0"]), FileBundle(["f1"])):
+            plan = p.plan(b, resident)
+            resident = apply(plan, resident)
+            p.commit(plan)
+        # a hit that fits: inert while the planner's view is current
+        assert p.plan(FileBundle(["f0"]), resident).selection is None
+        # f1 leaves the cache unannounced; the history still lists it
+        resident.discard("f1")
+        assert p.plan(FileBundle(["f0"]), resident).selection is not None
+
+    def test_plan_that_needs_room_always_selects(self):
+        p = OptFileBundlePlanner(20, SIZES)
+        resident: set = set()
+        for b in (FileBundle(["f0"]), FileBundle(["f1"])):
+            plan = p.plan(b, resident)
+            resident = apply(plan, resident)
+            p.commit(plan)
+        plan = p.plan(FileBundle(["f2"]), resident)  # 20 used + 10 > 20
+        assert plan.selection is not None and len(plan.evict) == 1

@@ -85,6 +85,34 @@ class TestDifferential:
             want = opt_cache_select(inst, free_files=free)
             assert got == want
 
+    @staticmethod
+    def _select_both(sizes, arrivals, budget, free):
+        history = RequestHistory(TruncationMode.FULL)
+        state = SelectionState(history, sizes)
+        for files in arrivals:
+            history.record(FileBundle(files))
+        got = state.select(budget, free=free)
+        inst = FBCInstance.from_history(history, sizes, budget)
+        assert got == opt_cache_select(inst, free_files=free)
+        return got
+
+    def test_free_file_in_chosen_bundle_is_kept_but_not_charged(self):
+        sizes = {"a": 10, "b": 20, "c": 5}
+        got = self._select_both(
+            sizes, [["a", "b"], ["c"], ["a", "b"]], 30, frozenset({"a"})
+        )
+        assert not got.single_fallback
+        assert got.files == {"a", "b", "c"}
+        assert got.used_bytes == sizes["b"] + sizes["c"]
+
+    def test_single_request_fallback(self):
+        # greedy takes the dense {x} first, after which {z} no longer fits;
+        # Step 3 then prefers {z} alone
+        sizes = {"x": 1, "z": 20}
+        got = self._select_both(sizes, [["x"]] + [["z"]] * 10, 20, frozenset())
+        assert got.single_fallback
+        assert got.files == {"z"} and got.used_bytes == 20
+
 
 class TestNoRebuildOnWarmPath:
     """The warm plan() path must not rebuild per-arrival structures."""

@@ -20,7 +20,7 @@ from repro.core.request import Request
 from repro.errors import SimulationError, UnknownFileError
 from repro.sim import CoordinatorCore, JobOutcome
 from repro.sim.metrics import MetricsCollector
-from repro.sim.simulator import SimulationConfig, service_request, simulate_trace
+from repro.sim.simulator import SimulationConfig, simulate_trace
 from repro.telemetry.recorder import TraceRecorder, use_recorder
 from repro.telemetry.sinks import JsonlSink
 from repro.types import MB
@@ -90,8 +90,8 @@ def test_core_trace_byte_identical_to_batch(trace, tmp_path, policy_name):
     )
 
 
-def test_service_request_shim_matches_batch(trace, tmp_path):
-    """The compatibility shim (transient core per call) stays exact."""
+def test_core_over_caller_built_state_matches_batch(trace, tmp_path):
+    """A core over a caller-built cache, policy and metrics stays exact."""
     config = SimulationConfig(cache_size=CACHE, policy="landlord")
     reference = simulate_trace(trace, config)
 
@@ -100,18 +100,12 @@ def test_service_request_shim_matches_batch(trace, tmp_path):
     policy = make_policy("landlord", future=trace.bundles())
     policy.bind(cache, sizes)
     metrics = MetricsCollector(warmup=0)
-    rec = TraceRecorder(JsonlSink(tmp_path / "shim.jsonl"))
+    rec = TraceRecorder(JsonlSink(tmp_path / "core.jsonl"))
+    core = CoordinatorCore(
+        cache=cache, policy=policy, sizes=sizes, metrics=metrics, recorder=rec
+    )
     for i, request in enumerate(trace):
-        service_request(
-            i,
-            request,
-            cache=cache,
-            policy=policy,
-            sizes=sizes,
-            metrics=metrics,
-            config=config,
-            rec=rec,
-        )
+        core.submit(i, request)
     rec.close()
     snap = metrics.snapshot()
     assert snap.byte_miss_ratio == reference.metrics.byte_miss_ratio

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.cache.lru import LRUPolicy
+from repro.cache.policy import PolicyDecision
 from repro.core.bundle import FileBundle
 from repro.core.request import Request, RequestStream
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.sim.simulator import SimulationConfig, simulate_trace
 from repro.sim.timeseries import byte_miss_timeseries
 from repro.types import FileCatalog
@@ -86,3 +88,19 @@ class TestTimeseries:
             t, SimulationConfig(cache_size=25, policy="lru"), window=10
         )
         assert pts[0].jobs == 1
+
+    def test_policy_over_commit_is_simulation_error(self):
+        # the replay runs through CoordinatorCore, so a policy that makes
+        # no room for a miss fails its free-space check before any load
+        class NoEvict(LRUPolicy):
+            def on_request(self, bundle):
+                return PolicyDecision()
+
+        t = trace_of([["f0"], ["f1"], ["f2"]])
+        with pytest.raises(SimulationError, match="free"):
+            byte_miss_timeseries(
+                t,
+                SimulationConfig(cache_size=20, policy="lru"),
+                window=10,
+                policy=NoEvict(),
+            )
