@@ -15,9 +15,11 @@ this subsystem makes simulation state durable:
   snapshots of :class:`~repro.cache.state.CacheState`, the policy's
   exported state (history, credits, heaps), metrics, and queue state,
   with journal truncation once a checkpoint lands;
-* :mod:`repro.durability.runner` — :func:`run_durable` /
-  :func:`resume_run`: the journaled simulation loop and the recovery
-  path that re-executes the journal tail and continues byte-identically.
+* :mod:`repro.durability.runner` — :class:`~.runner.JournaledCore`, the commit
+  pipeline the batch runner and the coordinator service share, and
+  :func:`run_durable` / :func:`resume_run`, the batch driver over it and
+  its recovery path that re-executes the journal tail and continues
+  byte-identically.
 """
 
 from repro.durability.atomicio import (

@@ -17,10 +17,12 @@ through the batch simulator sees identical inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
 from repro.durability.journal import DEFAULT_SEGMENT_BYTES
+from repro.durability.runner import DurabilityConfig
 from repro.errors import ConfigError
 from repro.faults.crash import CrashSpec
 from repro.faults.spec import FaultSpec
@@ -115,15 +117,15 @@ class ServiceConfig:
             raise ConfigError(
                 f"slow_threshold_ms must be positive, got {self.slow_threshold_ms}"
             )
-        if self.checkpoint_every < 1:
-            raise ConfigError(
-                f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
-            )
-        if self.fsync not in ("rotate", "always"):
-            raise ConfigError(
-                f"fsync must be 'rotate' or 'always', got {self.fsync!r}"
-            )
-        if self.max_segment_bytes < 1:
-            raise ConfigError(
-                f"max_segment_bytes must be positive, got {self.max_segment_bytes}"
-            )
+        self.durability  # validates checkpoint_every, fsync, max_segment_bytes
+
+    @cached_property
+    def durability(self) -> DurabilityConfig:
+        """The run's durability parameters, built (and validated) once."""
+        return DurabilityConfig(
+            run_dir=self.run_dir,
+            checkpoint_every=self.checkpoint_every,
+            fsync=self.fsync,
+            max_segment_bytes=self.max_segment_bytes,
+            crash=self.crash,
+        )

@@ -1,11 +1,13 @@
 """Durable state behind the coordinator service.
 
-The service is the online face of the simulator: the same
-:class:`~repro.sim.coordinator.CoordinatorCore` the batch drivers hold,
-fed one HTTP job at a time, with the PR-6 durability machinery
-underneath.  The run directory extends the durable runner's layout with
-an *arrivals record* — the service cannot re-read its workload from a
-file because jobs arrive over the network, so it writes one::
+The service is the online face of the simulator: the batch durable
+runner's commit pipeline (:class:`~repro.durability.runner.JournaledCore`
+— core, telemetry trace, journal, checkpoints, replay oracle) fed one
+HTTP job at a time.  This module adds only what the service needs on
+top: input validation, the metrics registry, request tracer, SLO monitor
+and fault injection, the per-job :class:`JobResult` — and an *arrivals
+record*, because jobs arrive over the network and cannot be re-read
+from the workload file::
 
     <run_dir>/
         manifest.json     service + simulation + durability parameters
@@ -16,16 +18,15 @@ file because jobs arrive over the network, so it writes one::
         checkpoints/      versioned state snapshots
 
 Per-job commit order: the job's **arrival line is flushed first**, then
-its telemetry lines are written, then its journal frame — so under a
-SIGKILL the arrivals record is always at least as durable as the
+the pipeline writes its telemetry lines and its journal frame — so under
+a SIGKILL the arrivals record is always at least as durable as the
 journal, and every journaled decision can be re-derived from a persisted
-arrival.  Recovery (:meth:`CoordinatorState.resume`) is the durable
-runner's re-execution protocol verbatim: restore the newest checkpoint,
-truncate the trace to its offset, drop journal frames whose trace
-evidence did not survive, re-execute the persisted arrivals past the
-checkpoint while checking each one against its surviving frame
+arrival.  Recovery (:meth:`CoordinatorState.resume`) prepares the run
+directory exactly as :func:`~repro.durability.runner.resume_run` does,
+re-executes the persisted arrivals past the checkpoint through the same
+pipeline, checking each against its surviving journal frame
 (:class:`~repro.errors.ReplayDivergenceError` on any divergence), then
-continue serving new jobs.  The stitched trace is byte-identical to an
+continues serving new jobs.  The stitched trace is byte-identical to an
 uninterrupted run's.
 """
 
@@ -37,44 +38,28 @@ import time
 from pathlib import Path
 from typing import IO, Any
 
-from repro.cache.registry import make_policy
-from repro.cache.state import CacheState
 from repro.core.bundle import FileBundle
 from repro.core.request import Request
-from repro.durability.atomicio import atomic_write_bytes, atomic_write_json, fsync_dir
-from repro.durability.checkpoint import latest_checkpoint, write_checkpoint
-from repro.durability.journal import (
-    JournalFrame,
-    JournalWriter,
-    list_segments,
-    read_journal_dir,
-)
+from repro.durability.atomicio import atomic_write_bytes, atomic_write_json
+# kept bound here: perfbench/layers.py wraps state.write_checkpoint by name
+from repro.durability.checkpoint import write_checkpoint  # noqa: F401
 from repro.durability.runner import (
-    MANIFEST_SCHEMA_VERSION,
-    DurabilityConfig,
-    _append_torn_frame,
-    _check_frame,
+    JournaledCore,
     _config_from_manifest,
     _config_to_manifest,
-    _TeeSink,
+    _load_manifest,
+    _prepare_resume,
+    _Resume,
 )
-from repro.errors import (
-    DurabilityError,
-    ReplayDivergenceError,
-    ServiceError,
-    UnknownFileError,
-)
-from repro.faults.crash import CrashInjector, CrashSpec
+from repro.errors import DurabilityError, ServiceError, UnknownFileError
+from repro.faults.crash import CrashSpec
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import FaultSpec
 from repro.service.config import ServiceConfig
 from repro.service.slo import SloConfig, SloMonitor
-from repro.sim.coordinator import CoordinatorCore, JobOutcome
-from repro.sim.metrics import MetricsCollector
+from repro.sim.coordinator import JobOutcome
 from repro.sim.simulator import SimulationConfig
 from repro.telemetry.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
-from repro.telemetry.recorder import TraceRecorder, use_recorder
-from repro.telemetry.sinks import JsonlSink
 from repro.telemetry.tracing import RequestTracer, request_id_for_job
 from repro.workload.trace import Trace
 
@@ -121,21 +106,19 @@ class JobResult:
         }
 
 
-def _service_manifest(config: ServiceConfig) -> dict[str, Any]:
-    sim = SimulationConfig(
+def _simulation_config(config: ServiceConfig) -> SimulationConfig:
+    """The simulation parameters of a service run (arrival order, no queue)."""
+    return SimulationConfig(
         cache_size=config.cache_size,
         policy=config.policy,
         policy_kwargs=config.policy_kwargs,
         warmup=config.warmup,
         check_invariants=config.check_invariants,
     )
-    durability = DurabilityConfig(
-        run_dir=config.run_dir,
-        checkpoint_every=config.checkpoint_every,
-        fsync=config.fsync,
-        max_segment_bytes=config.max_segment_bytes,
-    )
-    doc = _config_to_manifest(sim, durability)
+
+
+def _service_manifest(config: ServiceConfig) -> dict[str, Any]:
+    doc = _config_to_manifest(_simulation_config(config), config.durability)
     doc["kind"] = "service"
     doc["fault"] = (
         None
@@ -150,26 +133,6 @@ def _service_manifest(config: ServiceConfig) -> dict[str, Any]:
             "mean_downtime": config.fault.mean_downtime,
         }
     )
-    return doc
-
-
-def _load_service_manifest(run_dir: Path) -> dict[str, Any]:
-    path = run_dir / "manifest.json"
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DurabilityError(f"{path}: unreadable service manifest: {exc}") from None
-    if doc.get("schema_version") != MANIFEST_SCHEMA_VERSION:
-        raise DurabilityError(
-            f"{path}: unsupported manifest schema v{doc.get('schema_version')!r} "
-            f"(this build reads v{MANIFEST_SCHEMA_VERSION})"
-        )
-    if doc.get("kind") != "service":
-        raise DurabilityError(
-            f"{path}: not a coordinator-service run "
-            f"(kind={doc.get('kind', 'batch')!r}); use resume_run() for "
-            "batch durable runs"
-        )
     return doc
 
 
@@ -208,16 +171,11 @@ class CoordinatorState:
         config: ServiceConfig,
         workload: Trace,
         *,
-        restored: dict[str, Any] | None,
-        start_seq: int,
-        next_job: int,
-        tail_frames: list[JournalFrame],
-        oracle: bytes,
+        resume: _Resume | None,
     ):
         self.config = config
         self.workload = workload
         self.run_dir = config.run_dir
-        self.sizes = workload.catalog.as_dict()
         self.registry = MetricsRegistry()
         self._http_requests = self.registry.counter_family(
             "service_http_requests_total",
@@ -255,47 +213,20 @@ class CoordinatorState:
             profile_stream=self._profile_fh,
         )
 
-        trace_path = self.run_dir / "trace.jsonl"
-        self._jsonl = JsonlSink(trace_path, append=restored is not None or next_job > 0)
-        self._sink = _TeeSink(self._jsonl)
-        self.recorder = TraceRecorder(
-            self._sink, registry=self.registry, start_seq=start_seq
+        self.journaled = JournaledCore(
+            workload,
+            _simulation_config(config),
+            config.durability,
+            resume=resume,
+            registry=self.registry,
         )
-        self.trace_path = trace_path
-
-        with use_recorder(self.recorder):
-            self.cache = (
-                CacheState.restore(restored["cache"])
-                if restored is not None
-                else CacheState(config.cache_size)
-            )
-            self.policy = make_policy(
-                config.policy, future=workload.bundles(), **config.policy_kwargs
-            )
-            self.policy.bind(self.cache, self.sizes)
-            if restored is not None:
-                self.policy.import_state(restored["policy"])
-            self.metrics = MetricsCollector(
-                warmup=config.warmup, registry=self.registry
-            )
-            if restored is not None:
-                self.metrics.import_state(restored["metrics"])
-            self.core = CoordinatorCore(
-                cache=self.cache,
-                policy=self.policy,
-                sizes=self.sizes,
-                metrics=self.metrics,
-                recorder=self.recorder,
-                check_invariants=config.check_invariants,
-            )
-
-        self.journal = JournalWriter(
-            self.run_dir / "journal",
-            max_segment_bytes=config.max_segment_bytes,
-            fsync=config.fsync,
-        )
+        self.sizes = self.journaled.sizes
+        self.recorder = self.journaled.recorder
+        self.cache = self.journaled.cache
+        self.policy = self.journaled.policy
+        self.metrics = self.journaled.metrics
+        self.trace_path = self.journaled.trace_path
         self._strict = config.fsync == "always"
-        self._crash = CrashInjector(config.crash) if config.crash is not None else None
         # built outside any recorder context on purpose: service fault
         # injection is response-payload/metrics chaos only and must not
         # emit into the decision trace (differential comparison stays
@@ -306,13 +237,8 @@ class CoordinatorState:
             else None
         )
 
-        self._tail_frames = tail_frames
-        self._replayed = 0
-        self._oracle = oracle
-        self._oracle_base = self._jsonl.bytes_written
-        self.next_job = next_job
-        self.checkpoints_written = 0
-        self.resumed_from_job = next_job
+        self.next_job = self.journaled.start_job
+        self.resumed_from_job = self.next_job
         self._arrivals: IO[bytes] | None = None
         self._closed = False
 
@@ -339,15 +265,7 @@ class CoordinatorState:
         atomic_write_json(
             run_dir / "manifest.json", _service_manifest(config), fsync=sync
         )
-        state = cls(
-            config,
-            workload,
-            restored=None,
-            start_seq=0,
-            next_job=0,
-            tail_frames=[],
-            oracle=b"",
-        )
+        state = cls(config, workload, resume=None)
         header = {
             "type": "header",
             "version": 1,
@@ -387,7 +305,7 @@ class CoordinatorState:
         caller supplies them afresh.
         """
         run_dir = Path(run_dir)
-        doc = _load_service_manifest(run_dir)
+        doc = _load_manifest(run_dir, "service")
         sim = _config_from_manifest(doc)
         dur = doc["durability"]
         fault = None if doc.get("fault") is None else FaultSpec(**doc["fault"])
@@ -414,82 +332,18 @@ class CoordinatorState:
         arrivals_path = run_dir / "arrivals.jsonl"
         arrivals, intact = _load_arrivals(arrivals_path)
         persisted = list(arrivals)
-
-        ckpt = latest_checkpoint(run_dir / "checkpoints")
-        frames, _torn = read_journal_dir(run_dir / "journal")
-        if ckpt is not None:
-            start_job = ckpt.job
-            restored: dict[str, Any] | None = ckpt.state
-            trace_offset = ckpt.trace_offset
-            start_seq = ckpt.trace_seq
-        else:
-            start_job = 0
-            restored = None
-            trace_offset = 0
-            start_seq = 0
-        if start_job > len(persisted):
-            raise DurabilityError(
-                f"checkpoint covers {start_job} jobs but the arrivals record "
-                f"holds only {len(persisted)}"
-            )
-        # frames already subsumed by the checkpoint are dropped; so are
-        # frames whose arrival line did not survive (per-job commit order
-        # makes that power-loss-only, and such a job was never acknowledged)
-        tail = [f for f in frames if start_job <= f.job < len(persisted)]
-
-        trace_path = run_dir / "trace.jsonl"
-        existing = trace_path.read_bytes() if trace_path.exists() else b""
-        if len(existing) < trace_offset:
-            raise DurabilityError(
-                f"{trace_path} holds {len(existing)} bytes but the checkpoint "
-                f"records {trace_offset}"
-            )
-        while tail and int(tail[-1].payload["trace_offset"]) > len(existing):
-            tail.pop()
-        oracle = b""
-        if tail:
-            oracle = existing[trace_offset : int(tail[-1].payload["trace_offset"])]
-        if not trace_path.exists():
-            trace_path.touch()
-        with open(trace_path, "rb+") as fh:
-            fh.truncate(trace_offset)
-            fh.flush()
-            os.fsync(fh.fileno())
-        for segment in list_segments(run_dir / "journal"):
-            segment.unlink()
-        fsync_dir(run_dir / "journal")
-
         state = cls(
-            config,
-            workload,
-            restored=restored,
-            start_seq=start_seq,
-            next_job=start_job,
-            tail_frames=tail,
-            oracle=oracle,
+            config, workload, resume=_prepare_resume(run_dir, len(persisted))
         )
-        # re-execute the persisted arrivals past the checkpoint; the first
-        # len(tail) must reproduce their journal frames byte-for-byte
-        for job_index in range(start_job, len(persisted)):
-            state._service(job_index, persisted[job_index])
-            state.next_job = job_index + 1
-        if state._replayed < len(tail):
-            raise ReplayDivergenceError(
-                f"journal holds {len(tail)} frames past job {start_job} but "
-                f"re-execution produced only {state._replayed}"
-            )
-        if verify:
-            from repro.telemetry.forensics import reconstruct, verify_against_cache
-
-            state._jsonl.flush()
-            report = reconstruct(str(trace_path), capacity=config.cache_size)
-            report.raise_if_violations()
-            mismatches = verify_against_cache(report, state.cache)
-            if mismatches:
-                raise ReplayDivergenceError(
-                    "stitched trace disagrees with the live cache: "
-                    + "; ".join(mismatches)
-                )
+        try:
+            # re-execute the persisted arrivals past the checkpoint; the
+            # first ones must reproduce their surviving journal frames
+            for job_index in range(state.next_job, len(persisted)):
+                state._serve(job_index, persisted[job_index])
+            state.journaled.finish(verify)
+        except BaseException:
+            state.close()
+            raise
         with open(arrivals_path, "rb+") as trunc:
             trunc.truncate(intact)
             trunc.flush()
@@ -525,9 +379,7 @@ class CoordinatorState:
             priority=float(priority),
         )
         self._append_arrival(request)
-        result = self._service(job_index, request)
-        self.next_job = job_index + 1
-        return result
+        return self._serve(job_index, request)
 
     def _append_arrival(self, request: Request) -> None:
         if self._arrivals is None:
@@ -548,45 +400,10 @@ class CoordinatorState:
         if self._strict:
             os.fsync(self._arrivals.fileno())
 
-    def _service(self, job_index: int, request: Request) -> JobResult:
+    def _serve(self, job_index: int, request: Request) -> JobResult:
         t0 = time.perf_counter()
-        self._sink.capture = []
-        trace_start = self._jsonl.bytes_written
-        outcome = self.core.submit(job_index, request)
-        if self._strict:
-            self._jsonl.flush(sync=True)
-        trace_offset = self._jsonl.bytes_written
-        seq = self.recorder.events_emitted
-        frame = {
-            "job": job_index,
-            "request_id": request.request_id,
-            "trace_start": trace_start,
-            "trace_offset": trace_offset,
-            "seq": seq,
-            "arrivals_consumed": job_index + 1,
-        }
-        encoded = (
-            f'{{"job":{job_index},"request_id":{request.request_id},'
-            f'"trace_start":{trace_start},"trace_offset":{trace_offset},'
-            f'"seq":{seq},"arrivals_consumed":{job_index + 1}}}'
-        ).encode("ascii")
-        captured = self._sink.capture or []
-        self._sink.capture = None
-        if self._replayed < len(self._tail_frames):
-            _check_frame(
-                self._tail_frames[self._replayed],
-                frame,
-                actual_bytes="".join(line + "\n" for line in captured).encode("utf-8"),
-                oracle=self._oracle,
-                oracle_base=self._oracle_base,
-            )
-            self._replayed += 1
-        with self.recorder.span("journal.commit"):
-            self.journal.append(frame, encoded=encoded)
-            if self._crash is not None:
-                self._crash.tick(torn_hook=lambda: _append_torn_frame(self.journal))
-            if (job_index + 1) % self.config.checkpoint_every == 0:
-                self._checkpoint(job_index + 1)
+        outcome, captured = self.journaled.submit(job_index, request, job_index + 1)
+        self.next_job = job_index + 1
         retries = 0
         stall_s = 0.0
         if self._faults is not None:
@@ -616,24 +433,9 @@ class CoordinatorState:
             request_id_for_job(job_index),
         )
 
-    def _checkpoint(self, job: int) -> None:
-        self._jsonl.flush(sync=self._strict)
-        write_checkpoint(
-            self.run_dir / "checkpoints",
-            job=job,
-            arrivals_consumed=job,
-            trace_offset=self._jsonl.bytes_written,
-            trace_seq=self.recorder.events_emitted,
-            state={
-                "cache": self.cache.export_state(),
-                "policy": self.policy.export_state(),
-                "metrics": self.metrics.export_state(),
-                "queue": None,
-            },
-            fsync=self._strict,
-        )
-        self.journal.truncate_to_checkpoint()
-        self.checkpoints_written += 1
+    @property
+    def checkpoints_written(self) -> int:
+        return self.journaled.checkpoints_written
 
     # ------------------------------------------------------------------ #
     # read-side payloads
@@ -718,9 +520,7 @@ class CoordinatorState:
         if self._closed:
             return
         self._closed = True
-        self.journal.close()
-        self._jsonl.flush(sync=self._strict)
-        self._sink.close()
+        self.journaled.close()
         if self._profile_fh is not None and not self._profile_fh.closed:
             self._profile_fh.close()
         if self._arrivals is not None and not self._arrivals.closed:

@@ -5,9 +5,10 @@ simulator (the paper's ``cacheSim`` inner loop) factored out of any
 driver: it holds the cache, the bound policy, the size catalog and the
 metrics collector, and services one request at a time.  It is
 deliberately event-loop-free and I/O-free — the batch simulator
-(:func:`repro.sim.simulator.simulate_trace`), the durable runner
-(:mod:`repro.durability.runner`) and the online coordinator service
-(:mod:`repro.service`) all drive the *same* core, which is what makes
+(:func:`repro.sim.simulator.simulate_trace`) and the durable commit
+pipeline (:class:`repro.durability.runner.JournaledCore`) behind the
+batch runner and the online coordinator service all drive the *same*
+core, which is what makes
 their decision traces byte-for-byte comparable.
 
 Telemetry is emitted through the recorder captured at construction, in

@@ -35,6 +35,7 @@ from repro.errors import (
     ReplayDivergenceError,
 )
 from repro.faults.crash import CrashSpec
+from repro.service import CoordinatorState, ServiceConfig
 from repro.sim.simulator import SimulationConfig
 from repro.types import MB
 from repro.workload.generator import WorkloadSpec, generate_trace
@@ -211,6 +212,69 @@ class TestCorruptionAndMisuse:
         (journal_dir / "wal-000000.log").write_bytes(bytes(blob))
         with pytest.raises(ReplayDivergenceError):
             resume_run(crashed_dir)
+
+
+def _snapshot(run_dir):
+    return {
+        p.relative_to(run_dir): p.read_bytes()
+        for p in sorted(run_dir.rglob("*"))
+        if p.is_file()
+    }
+
+
+class TestDriverKinds:
+    """Each driver refuses the other's run directory before touching it."""
+
+    def test_resume_run_refuses_a_service_run(self, trace, tmp_path):
+        workload = tmp_path / "workload.jsonl"
+        trace.dump(workload)
+        run_dir = tmp_path / "service"
+        state = CoordinatorState.create(
+            ServiceConfig(
+                workload=workload,
+                cache_size=CACHE,
+                run_dir=run_dir,
+                checkpoint_every=CKPT_EVERY,
+            )
+        )
+        requests = list(trace)
+        for request in requests[:60]:
+            state.submit(sorted(request.bundle.files))
+        state.close()
+        before = _snapshot(run_dir)
+        assert {"trace.jsonl", "arrivals.jsonl"} <= {p.name for p in before}
+        assert any(p.parts[0] == "journal" for p in before)
+        assert any(p.parts[0] == "checkpoints" for p in before)
+
+        with pytest.raises(DurabilityError, match="serve --resume"):
+            resume_run(run_dir)
+        assert _snapshot(run_dir) == before
+
+        resumed = CoordinatorState.resume(run_dir)
+        assert resumed.next_job == 60
+        resumed.close()
+
+    def test_service_resume_refuses_a_batch_run(self, trace, tmp_path):
+        config = SimulationConfig(cache_size=CACHE, policy="landlord")
+        run_dir = tmp_path / "batch"
+        with pytest.raises(InjectedCrashError):
+            run_durable(
+                trace,
+                config,
+                DurabilityConfig(
+                    run_dir=run_dir,
+                    checkpoint_every=CKPT_EVERY,
+                    crash=CrashSpec(at_mutation=CKPT_EVERY + 5, mode="raise"),
+                ),
+            )
+        before = _snapshot(run_dir)
+
+        with pytest.raises(DurabilityError, match="repro-fbc resume"):
+            CoordinatorState.resume(run_dir)
+        assert _snapshot(run_dir) == before
+
+        resumed = resume_run(run_dir)
+        assert resumed.resumed_from_job == CKPT_EVERY
 
 
 class TestCliSigkill:
