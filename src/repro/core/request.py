@@ -7,6 +7,7 @@ is the request *type* whose popularity ``v(r)`` the history tracks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -27,11 +28,13 @@ class Request:
     bundle:
         The set of files that must be simultaneously resident.
     arrival_time:
-        Simulated arrival time in seconds (0.0 for untimed traces).
+        Simulated arrival time in seconds (0.0 for untimed traces); finite
+        and non-negative.
     priority:
-        Optional external importance weight; the default value function of
-        the history ignores it (the paper uses a pure occurrence counter)
-        but priority-weighted values are supported as an extension.
+        Optional external importance weight, finite and positive; the
+        default value function of the history ignores it (the paper uses a
+        pure occurrence counter) but priority-weighted values are
+        supported as an extension.
     """
 
     request_id: int
@@ -42,10 +45,16 @@ class Request:
     def __post_init__(self) -> None:
         if self.request_id < 0:
             raise ConfigError(f"request_id must be non-negative, got {self.request_id}")
-        if self.arrival_time < 0:
-            raise ConfigError(f"arrival_time must be non-negative, got {self.arrival_time}")
-        if self.priority <= 0:
-            raise ConfigError(f"priority must be positive, got {self.priority}")
+        # NaN fails every comparison; a non-finite value would reach the
+        # arrivals record as NaN or Infinity, which is not JSON
+        if not 0 <= self.arrival_time < math.inf:
+            raise ConfigError(
+                f"arrival_time must be finite and non-negative, got {self.arrival_time}"
+            )
+        if not 0 < self.priority < math.inf:
+            raise ConfigError(
+                f"priority must be finite and positive, got {self.priority}"
+            )
 
 
 class RequestStream:

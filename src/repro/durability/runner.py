@@ -84,7 +84,7 @@ from repro.sim.simulator import (
     SimulationResult,
     _queued,
 )
-from repro.telemetry.events import TraceEvent, event_to_dict
+from repro.telemetry.events import TraceEvent, encode_event
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.recorder import TraceRecorder, use_recorder
 from repro.telemetry.sinks import JsonlSink, TraceSink
@@ -183,20 +183,27 @@ class DurableReport:
 
 
 class _TeeSink(TraceSink):
-    """Writes through to a :class:`JsonlSink` and keeps the serialized
-    lines of the current job in ``capture`` (the job's response payload
-    and its replay check)."""
+    """Collects the current job's trace lines in ``capture``.
+
+    Each event is encoded once, by
+    :func:`~repro.telemetry.events.encode_event`; the same string is the
+    trace line, the job's replay check and, in the service, its response
+    payload.  :meth:`JournaledCore.submit` points ``capture`` at a fresh
+    list for each job, writes the list to the trace in one go once the
+    decision is made, and detaches it (``None``).  A detached tee writes
+    each event straight through, so a line emitted between jobs reaches
+    the trace but never a list already handed out.
+    """
 
     def __init__(self, inner: JsonlSink):
         self.inner = inner
-        self.capture: list[str] = []
+        self.capture: list[str] | None = None
 
     def emit(self, seq: int, event: TraceEvent) -> None:
-        line = json.dumps(
-            event_to_dict(seq, event), sort_keys=True, separators=(",", ":")
-        )
-        self.inner.emit_line(line)
-        self.capture.append(line)
+        if self.capture is None:
+            self.inner.emit(seq, event)
+        else:
+            self.capture.append(encode_event(seq, event))
 
     def close(self) -> None:
         self.inner.close()
@@ -470,16 +477,22 @@ class JournaledCore:
     ) -> tuple[JobOutcome, list[str]]:
         """Decide and commit one job; returns its outcome and trace lines.
 
-        Commit order: the core's decision writes the job's trace lines,
-        then its journal frame is checked against the replay oracle (while
-        one remains) and appended, then every ``checkpoint_every`` jobs
-        the state is snapshotted and the journal truncated.
+        Commit order: the core's decision, then the job's trace lines (one
+        write), then its journal frame is checked against the replay
+        oracle (while one remains) and appended, then every
+        ``checkpoint_every`` jobs the state is snapshotted and the journal
+        truncated.  The returned lines are the job's trace lines exactly
+        as written (no newline).
         """
         jsonl = self._jsonl
         captured: list[str] = []
         self._sink.capture = captured
         trace_start = jsonl.bytes_written
-        outcome = self.core.submit(job_index, request)
+        try:
+            outcome = self.core.submit(job_index, request)
+        finally:
+            self._sink.capture = None
+            jsonl.emit_lines(captured)
         # "always" forces the trace lines to disk before the frame, making
         # the frame a strict per-job commit record; the buffered default
         # lets resume trim evidence-less frames

@@ -19,7 +19,6 @@ pinned against it by the ``RPR005`` drift linter.
 from __future__ import annotations
 
 import asyncio
-from typing import Any
 
 from repro.errors import InjectedCrashError, ReproError, ServiceError
 from repro.service.http import (
@@ -257,6 +256,12 @@ class CoordinatorService:
         priority = payload.get("priority", 1.0)
         if not isinstance(priority, (int, float)) or isinstance(priority, bool):
             return error_response(400, "'priority' must be a number")
+        try:
+            priority = float(priority)
+        except OverflowError:
+            # an integer literal beyond float range; NaN and the
+            # infinities are refused by Request itself
+            return error_response(400, "'priority' must be a finite number")
         # time the lock acquisition as queue.wait: under client
         # concurrency this is where a request sits behind the
         # single-writer decision loop
@@ -264,7 +269,7 @@ class CoordinatorService:
             await self._lock.acquire()
         try:
             try:
-                result = self.state.submit(files, priority=float(priority))
+                result = self.state.submit(files, priority=priority)
             except InjectedCrashError as exc:
                 # chaos: treat like the process death it stands in for —
                 # no response, tear the server down, surface via run()
@@ -275,14 +280,15 @@ class CoordinatorService:
                 return error_response(400, str(exc))
         finally:
             self._lock.release()
-        body: dict[str, Any] = result.as_dict()
+        timing_ms = None
         if rt is not None:
             # re-point the provisional read-side id at the job-derived
             # one so /v1/debug/requests resolves the id the client sees
             rt.request_id = result.request_id
             rt.job = result.outcome.job
-            body["timing_ms"] = {
+            timing_ms = {
                 key.removesuffix("_s") + "_ms": round(value * 1e3, 3)
                 for key, value in rt.breakdown().items()
             }
-        return json_response(body)
+        # the job's trace lines go into the body verbatim, never re-parsed
+        return HttpResponse(status=200, body=result.response_body(timing_ms))

@@ -73,37 +73,57 @@ NOMINAL_STAGE_SECONDS = 1e-3
 class JobResult:
     """One serviced job: the outcome plus its slice of the decision trace.
 
-    ``events`` are the job's telemetry records exactly as written to
-    ``trace.jsonl`` (parsed back from the canonical lines), so an HTTP
-    response carries the same ``PlanComputed``/``FileAdmitted``/
-    ``FileEvicted`` rationale payloads the trace does.  ``retries`` is
-    the number of injected transfer faults absorbed while "staging" the
-    job's loads (0 without a fault spec).  ``request_id`` is the
-    deterministic tracing id (``req-<job:08d>``) that resolves to this
-    job's span tree under ``/v1/debug/requests``.
+    ``lines`` are the job's trace lines exactly as written to
+    ``trace.jsonl`` (one :func:`~repro.telemetry.events.encode_event`
+    string per event), so an HTTP response carries the same
+    ``PlanComputed``/``FileAdmitted``/``FileEvicted`` rationale payloads
+    the trace does, byte for byte.  ``retries`` is the number of injected
+    transfer faults absorbed while "staging" the job's loads (0 without a
+    fault spec).  ``request_id`` is the deterministic tracing id
+    (``req-<job:08d>``) that resolves to this job's span tree under
+    ``/v1/debug/requests``.
     """
 
-    __slots__ = ("outcome", "events", "retries", "request_id")
+    __slots__ = ("outcome", "lines", "retries", "request_id")
 
     def __init__(
         self,
         outcome: JobOutcome,
-        events: list[dict[str, Any]],
+        lines: list[str],
         retries: int,
         request_id: str,
     ):
         self.outcome = outcome
-        self.events = events
+        self.lines = lines
         self.retries = retries
         self.request_id = request_id
 
     def as_dict(self) -> dict[str, Any]:
+        """The response payload with the trace lines parsed into records."""
         return {
             "outcome": self.outcome.as_dict(),
-            "events": self.events,
+            "events": [json.loads(line) for line in self.lines],
             "retries": self.retries,
             "request_id": self.request_id,
         }
+
+    def response_body(self, timing_ms: dict[str, float] | None = None) -> bytes:
+        """The canonical JSON of :meth:`as_dict` (plus ``timing_ms``).
+
+        Byte-identical to ``json.dumps(payload, sort_keys=True,
+        separators=(",", ":"))`` without parsing the trace lines: they are
+        canonical already, and ``"events"`` sorts before every other key,
+        so the body is ``{"events":[<lines>],`` followed by the rest.
+        """
+        rest: dict[str, Any] = {
+            "outcome": self.outcome.as_dict(),
+            "retries": self.retries,
+            "request_id": self.request_id,
+        }
+        if timing_ms is not None:
+            rest["timing_ms"] = timing_ms
+        tail = json.dumps(rest, sort_keys=True, separators=(",", ":"))
+        return f'{{"events":[{",".join(self.lines)}],{tail[1:]}'.encode("utf-8")
 
 
 def _simulation_config(config: ServiceConfig) -> SimulationConfig:
@@ -358,10 +378,12 @@ class CoordinatorState:
     def submit(self, files: list[str], *, priority: float = 1.0) -> JobResult:
         """Accept, persist and service one job; returns its decisions.
 
-        Raises :class:`~repro.errors.ServiceError` for an empty bundle
-        and :class:`~repro.errors.UnknownFileError` for files outside the
-        catalog — both *before* the arrival is persisted, so the durable
-        record only ever holds serviceable-shaped jobs.
+        Raises :class:`~repro.errors.ServiceError` for an empty bundle,
+        :class:`~repro.errors.UnknownFileError` for files outside the
+        catalog and :class:`~repro.errors.ConfigError` for a priority that
+        is not finite and positive — all *before* the arrival is
+        persisted, so the durable record only ever holds
+        serviceable-shaped jobs (and strict JSON).
         """
         if self._closed:
             raise ServiceError("coordinator state is closed")
@@ -426,12 +448,7 @@ class CoordinatorState:
             demand_bytes=outcome.demand_bytes,
             latency_s=elapsed + stall_s,
         )
-        return JobResult(
-            outcome,
-            [json.loads(line) for line in captured],
-            retries,
-            request_id_for_job(job_index),
-        )
+        return JobResult(outcome, captured, retries, request_id_for_job(job_index))
 
     @property
     def checkpoints_written(self) -> int:

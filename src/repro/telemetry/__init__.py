@@ -46,6 +46,7 @@ from repro.telemetry.events import (
     StageStarted,
     TraceEvent,
     WindowRolled,
+    encode_event,
     event_from_dict,
     event_to_dict,
     validate_event,
@@ -92,6 +93,7 @@ __all__ = [
     "WindowRolled",
     "EVENT_TYPES",
     "EVENT_SCHEMA",
+    "encode_event",
     "event_to_dict",
     "event_from_dict",
     "validate_event",

@@ -15,6 +15,14 @@ included; host time never is, so profiling data lives in the
 ``EVENT_SCHEMA`` is the single source of truth for the serialized line
 format; :func:`validate_event` / :func:`validate_trace_file` check
 arbitrary JSONL against it (used by the CI trace smoke job).
+
+:func:`encode_event` is the only place a trace line is written: the
+canonical JSON of :func:`event_to_dict` (sorted keys, ``","``/``":"``
+separators, ASCII escapes), written for the per-job kinds by hand-rolled
+fast paths instead of a ``json.dumps`` per event.  Every sink that
+writes lines calls it, and the coordinator service splices the lines it
+returns into job responses verbatim, so trace and response can never
+disagree on a byte.
 """
 
 from __future__ import annotations
@@ -22,8 +30,9 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.errors import TraceTruncatedWarning, TraceValidationError
 
@@ -42,6 +51,7 @@ __all__ = [
     "EVENT_TYPES",
     "EVENT_SCHEMA",
     "event_to_dict",
+    "encode_event",
     "event_from_dict",
     "validate_event",
     "validate_trace_file",
@@ -263,6 +273,123 @@ def event_to_dict(seq: int, event: TraceEvent) -> dict[str, Any]:
     for name in names:
         out[name] = getattr(event, name)
     return out
+
+
+#: the reference line encoder: ``json.dumps(record, sort_keys=True,
+#: separators=(",", ":"))`` without building an encoder per call
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+# Per-kind fast paths for the events every job emits.  Each returns the
+# canonical line, or ``None`` to decline: any value whose text it does
+# not reproduce exactly sends the line through _CANONICAL.  The checks
+# are on exact types on purpose: a bool in an int field must print
+# ``true``, and an int subclass such as IntEnum formats differently.
+
+
+def _num_text(value: Any) -> str | None:
+    if type(value) is int:
+        return int.__repr__(value)
+    # v - v is 0.0 exactly for finite floats (nan/inf print as NaN/Infinity)
+    if type(value) is float and value - value == 0.0:
+        return float.__repr__(value)
+    return None
+
+
+def _detail_text(detail: Any) -> str:
+    """A ``FileEvicted.detail``: flat ``{str: int | finite float}`` dicts
+    directly, anything else through the reference encoder."""
+    if detail is None:
+        return "null"
+    if type(detail) is dict:
+        items = []
+        for key, value in detail.items():
+            text = _num_text(value)
+            if text is None or type(key) is not str:
+                break
+            items.append((key, f"{encode_basestring_ascii(key)}:{text}"))
+        else:
+            items.sort()  # keys are unique, so only keys are compared
+            return "{" + ",".join([pair for _key, pair in items]) + "}"
+    return _CANONICAL.encode(detail)
+
+
+def _job_arrived_line(seq: int, ev: JobArrived) -> str | None:
+    job, rid, n_files, nbytes = ev.job, ev.request_id, ev.n_files, ev.bytes_requested
+    if not type(seq) is type(job) is type(rid) is type(n_files) is type(nbytes) is int:
+        return None
+    return (
+        f'{{"bytes_requested":{nbytes},"job":{job},"kind":"JobArrived",'
+        f'"n_files":{n_files},"request_id":{rid},"seq":{seq}}}'
+    )
+
+
+def _plan_computed_line(seq: int, ev: PlanComputed) -> str | None:
+    loads, prefetches, evictions = ev.loads, ev.prefetches, ev.evictions
+    hit = "true" if ev.hit is True else "false" if ev.hit is False else None
+    if (
+        hit is None
+        or type(ev.policy) is not str
+        or not type(seq) is type(loads) is type(prefetches) is type(evictions) is int
+    ):
+        return None
+    return (
+        f'{{"evictions":{evictions},"hit":{hit},"kind":"PlanComputed",'
+        f'"loads":{loads},"policy":{encode_basestring_ascii(ev.policy)},'
+        f'"prefetches":{prefetches},"seq":{seq}}}'
+    )
+
+
+def _file_admitted_line(seq: int, ev: FileAdmitted) -> str | None:
+    nbytes, file, cause = ev.bytes, ev.file, ev.cause
+    if not (
+        type(seq) is type(nbytes) is int and type(file) is type(cause) is str
+    ):
+        return None
+    return (
+        f'{{"bytes":{nbytes},"cause":{encode_basestring_ascii(cause)},'
+        f'"file":{encode_basestring_ascii(file)},"kind":"FileAdmitted",'
+        f'"seq":{seq}}}'
+    )
+
+
+def _file_evicted_line(seq: int, ev: FileEvicted) -> str | None:
+    nbytes, file, policy = ev.bytes, ev.file, ev.policy
+    if not (
+        type(seq) is type(nbytes) is int and type(file) is type(policy) is str
+    ):
+        return None
+    return (
+        f'{{"bytes":{nbytes},"detail":{_detail_text(ev.detail)},'
+        f'"file":{encode_basestring_ascii(file)},"kind":"FileEvicted",'
+        f'"policy":{encode_basestring_ascii(policy)},"seq":{seq}}}'
+    )
+
+
+_FAST_LINES: dict[type, Callable[[int, Any], str | None]] = {
+    JobArrived: _job_arrived_line,
+    PlanComputed: _plan_computed_line,
+    FileAdmitted: _file_admitted_line,
+    FileEvicted: _file_evicted_line,
+}
+
+
+def encode_event(seq: int, event: TraceEvent) -> str:
+    """The canonical trace line of one event (no trailing newline).
+
+    Byte-identical to ``json.dumps(event_to_dict(seq, event),
+    sort_keys=True, separators=(",", ":"))`` — the one line format of
+    the trace.  The per-job kinds (``JobArrived``, ``PlanComputed``,
+    ``FileAdmitted``, ``FileEvicted``) are written by hand-rolled fast
+    paths; every other kind, and any field value a fast path does not
+    cover (a bool or float in an int field, a nested ``detail``), goes
+    through one shared reference encoder.
+    """
+    fast = _FAST_LINES.get(type(event))
+    if fast is not None:
+        line = fast(seq, event)
+        if line is not None:
+            return line
+    return _CANONICAL.encode(event_to_dict(seq, event))
 
 
 def event_from_dict(record: Mapping[str, Any]) -> TraceEvent:

@@ -1,5 +1,7 @@
 """Unit tests for Request and RequestStream."""
 
+import math
+
 import pytest
 
 from repro.core.bundle import FileBundle
@@ -26,6 +28,16 @@ class TestRequest:
     def test_nonpositive_priority_rejected(self):
         with pytest.raises(ValueError):
             Request(0, FileBundle(["a"]), priority=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_priority_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            Request(0, FileBundle(["a"]), priority=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arrival_time_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            _req(0, t=value)
 
 
 class TestRequestStream:

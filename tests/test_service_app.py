@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import os
 import re
 import signal
@@ -354,3 +355,60 @@ class TestStateValidation:
         with pytest.raises(ServiceError, match="closed"):
             state.submit(files)
         state.close()  # idempotent
+
+
+class TestNonFiniteNumbers:
+    """NaN and the infinities are not JSON: the arrivals record must never
+    see one, so a job carrying one is refused before it is persisted."""
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "float-overflow", "int-beyond-float"],
+    )
+    def test_post_job_refuses_non_finite_priority(
+        self, workload_path, tmp_path, literal
+    ):
+        state = CoordinatorState.create(_config(workload_path, tmp_path / "run"))
+        arrivals = tmp_path / "run" / "arrivals.jsonl"
+        files = sorted(state.sizes)[:2]
+        with running_service(state) as svc:
+            assert _get(svc.port, "/v1/jobs", "POST", {"files": files})[0] == 200
+            before = arrivals.read_bytes()
+            conn = http.client.HTTPConnection("127.0.0.1", svc.port, timeout=10)
+            try:
+                conn.request(
+                    "POST", "/v1/jobs",
+                    body=f'{{"files": {json.dumps(files)}, "priority": {literal}}}',
+                )
+                response = conn.getresponse()
+                status, body = response.status, response.read()
+            finally:
+                conn.close()
+            assert status == 400
+            assert "priority" in json.loads(body)["error"]
+            assert arrivals.read_bytes() == before
+            assert state.next_job == 1
+            status, _, body = _get(svc.port, "/v1/jobs", "POST", {"files": files})
+            assert status == 200 and json.loads(body)["outcome"]["job"] == 1
+        for line in arrivals.read_text().splitlines():
+            json.loads(line, parse_constant=_reject_constant)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_submit_refuses_non_finite_priority(self, workload_path, tmp_path, value):
+        from repro.errors import ConfigError
+
+        with CoordinatorState.create(
+            _config(workload_path, tmp_path / "run")
+        ) as state:
+            files = sorted(state.sizes)[:1]
+            arrivals = tmp_path / "run" / "arrivals.jsonl"
+            before = arrivals.read_bytes()
+            with pytest.raises(ConfigError, match="finite"):
+                state.submit(files, priority=value)
+            assert arrivals.read_bytes() == before
+            assert state.next_job == 0
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-JSON constant {name} in the arrivals record")

@@ -1,9 +1,12 @@
 """Unit tests for the telemetry package: events, sinks, metrics, recorder."""
 
+import enum
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError, TelemetryError
 from repro.telemetry import (
@@ -22,6 +25,7 @@ from repro.telemetry import (
     TraceRecorder,
     WindowRolled,
     current_recorder,
+    encode_event,
     event_from_dict,
     event_to_dict,
     recorder_from_spec,
@@ -447,3 +451,82 @@ class TestEventEmissionHelpers:
     def test_stage_retried_schema_accepts_floats(self):
         record = event_to_dict(0, StageRetried(file="f", attempt=1, delay=2.5, t=7.0))
         validate_event(record)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HUGE = 2**70
+
+
+#: characters JSON must escape, plus non-ASCII and lone surrogates
+_SPECIAL_CHARS = [
+    '"', "\\", "\x00", "\x1f", "\x7f", "\ud800", "\udfff", "é", "\u2028", "\U0001f600"
+]
+_TEXT = st.lists(
+    st.one_of(st.characters(exclude_categories=()), st.sampled_from(_SPECIAL_CHARS)),
+    max_size=10,
+).map("".join)
+_INTS = st.integers() | st.integers(min_value=2**63 - 2, max_value=2**70)
+_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300]
+)
+_NUMS = _INTS | _FLOATS
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.sampled_from(list(_Level)), _NUMS, _TEXT
+)
+_NESTED = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_TEXT, kids, max_size=3),
+    max_leaves=8,
+)
+_DETAILS = st.one_of(
+    st.none(),
+    st.just({}),
+    st.dictionaries(_TEXT, _NUMS, min_size=2, max_size=4),
+    st.dictionaries(_TEXT, _NUMS, max_size=4),
+    st.dictionaries(st.integers(), _NUMS, max_size=3),
+    st.dictionaries(_TEXT, _NESTED, max_size=3),
+)
+#: schema type -> values of exactly that type
+_WELL_TYPED = {
+    (int,): _INTS,
+    (int, float): _NUMS,
+    (str,): _TEXT,
+    (bool,): st.booleans(),
+    (dict, type(None)): _DETAILS,
+}
+#: ... and now and then one of another type (a bool or an IntEnum in an
+#: int field, 0/1 in a bool field, a float in an int field, ...)
+_ANY_TYPED = {types: values | _LEAVES for types, values in _WELL_TYPED.items()}
+_SEQS = st.integers(min_value=0) | st.integers(min_value=2**63, max_value=2**70)
+
+
+class TestEncodeEvent:
+    """``encode_event`` is the one trace line format: pinned to the
+    reference serialization of ``event_to_dict`` for every kind."""
+
+    @pytest.mark.parametrize("kind", sorted(EVENT_TYPES))
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_json_dumps_of_event_to_dict(self, kind, data):
+        strategies = _WELL_TYPED if data.draw(st.booleans()) else _ANY_TYPED
+        values = {
+            name: data.draw(strategies[types], label=name)
+            for name, types in EVENT_SCHEMA[kind].items()
+        }
+        event = EVENT_TYPES[kind](**values)
+        seq = data.draw(_SEQS, label="seq")
+        reference = json.dumps(
+            event_to_dict(seq, event), sort_keys=True, separators=(",", ":")
+        )
+        assert encode_event(seq, event) == reference
+
+    def test_jsonl_sink_writes_the_encoded_line(self, tmp_path):
+        event = FileEvicted(
+            file="f\u00e9", bytes=7, policy="landlord",
+            detail={"last_refresh": 3, "credit": 0.5},
+        )
+        sink = JsonlSink(tmp_path / "t.jsonl")
+        sink.emit(4, event)
+        sink.close()
+        assert (tmp_path / "t.jsonl").read_text() == encode_event(4, event) + "\n"
