@@ -11,6 +11,10 @@ regenerations, not micro-benchmarks, and their cost *is* the measurement.
 Set ``REPRO_BENCH_SCALE`` to ``smoke`` / ``quick`` / ``paper`` to override
 the per-benchmark default scales (``paper`` reproduces the original job
 counts and takes tens of minutes).
+
+The overhead gates (``test_bench_{telemetry,durability,tracing,service}``)
+share the :func:`bench_trace` workload; the timed ones measure their two
+sides with :func:`repro.experiments.bench.paired_times`.
 """
 
 from __future__ import annotations
@@ -21,12 +25,30 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import run_experiment
+from repro.experiments.bench import (
+    CACHE_IN_REQUESTS,
+    MAX_FILE_FRACTION,
+    POPULARITY,
+)
+from repro.experiments.common import bundle_trace, get_scale
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
 def bench_scale(default: str) -> str:
     return os.environ.get("REPRO_BENCH_SCALE", default)
+
+
+@pytest.fixture(scope="session")
+def bench_trace():
+    """The seeded smoke-scale workload ``repro-fbc bench`` replays."""
+    return bundle_trace(
+        get_scale("smoke"),
+        popularity=POPULARITY,
+        cache_in_requests=CACHE_IN_REQUESTS,
+        max_file_fraction=MAX_FILE_FRACTION,
+        seed=0,
+    )
 
 
 @pytest.fixture()

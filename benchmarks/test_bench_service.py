@@ -1,67 +1,53 @@
-"""Coordinator-service throughput benchmark: the online serving path.
+"""Coordinator-service replay: the online serving path decides as batch does.
 
 The paper's Section 1.2 requires replacement decisions "evaluated in an
 almost negligible time"; the online coordinator adds HTTP framing, the
 write-ahead journal and the arrivals record on top of each decision.
-This benchmark replays the seeded bench workload over real loopback
-HTTP per policy and gates the record that lands in ``BENCH_core.json``
-(schema v5): every job must be serviced without error, the achieved
-decision quality must equal the batch simulator's exactly, and the
-service must sustain a sane throughput floor at smoke scale.
+This test replays the seeded bench workload over real loopback HTTP per
+policy: every job must be serviced without error, the achieved decision
+quality must equal the batch simulator's exactly, and the service must
+sustain a sane throughput floor at smoke scale.  Its speed is measured
+by perfbench's ``service-uniform`` workload.
 """
 
 import pytest
 
-from repro.experiments.bench import (
-    BENCH_SCHEMA_VERSION,
-    CACHE_IN_REQUESTS,
-    DEFAULT_POLICIES,
-    MAX_FILE_FRACTION,
-    POPULARITY,
-    service_throughput,
-)
-from repro.experiments.common import CACHE_SIZE, bundle_trace, get_scale
+from repro.experiments.bench import DEFAULT_POLICIES
+from repro.experiments.common import CACHE_SIZE
+from repro.service import CoordinatorState, ServiceConfig, run_loadgen
+from repro.service.testing import running_service
 from repro.sim.simulator import SimulationConfig, simulate_trace
 
 
-def _bench_trace():
-    return bundle_trace(
-        get_scale("smoke"),
-        popularity=POPULARITY,
-        cache_in_requests=CACHE_IN_REQUESTS,
-        max_file_fraction=MAX_FILE_FRACTION,
-        seed=0,
-    )
-
-
-def test_bench_schema_is_v5():
-    """The service section is part of the v5 BENCH layout."""
-    assert BENCH_SCHEMA_VERSION == 5
-
-
-@pytest.mark.benchmark(group="service-throughput")
-def test_service_throughput_record(benchmark):
-    trace = _bench_trace()
-    records = benchmark.pedantic(
-        service_throughput, args=(trace,), rounds=1, iterations=1
-    )
-    benchmark.extra_info["service"] = records
-    assert [r["policy"] for r in records] == list(DEFAULT_POLICIES)
-    for record in records:
+def test_service_replay_matches_batch(bench_trace, tmp_path):
+    workload = tmp_path / "workload.jsonl"
+    bench_trace.dump(workload)
+    throughputs = []
+    for policy in DEFAULT_POLICIES:
+        state = CoordinatorState.create(
+            ServiceConfig(
+                workload=workload,
+                cache_size=CACHE_SIZE,
+                run_dir=tmp_path / f"run_{policy}",
+                policy=policy,
+                checkpoint_every=100,
+            )
+        )
+        with running_service(state) as svc:
+            report = run_loadgen(bench_trace, svc.host, svc.port, concurrency=4)
         # every job serviced, none dropped, latency percentiles ordered
-        assert record["errors"] == 0
-        assert record["n_jobs"] == len(trace)
-        assert record["latency_p50_ms"] <= record["latency_p99_ms"]
-        assert record["jobs_per_sec"] > 0
+        assert report.errors == 0, policy
+        assert report.jobs == len(bench_trace), policy
+        assert report.latency_p50_ms <= report.latency_p99_ms, policy
         # the online system must not change the paper's metric: the
         # byte-miss ratio over HTTP equals the batch simulator's
         batch = simulate_trace(
-            trace,
-            SimulationConfig(cache_size=CACHE_SIZE, policy=record["policy"]),
+            bench_trace, SimulationConfig(cache_size=CACHE_SIZE, policy=policy)
         )
-        assert record["byte_miss_ratio"] == pytest.approx(
+        assert report.byte_miss_ratio == pytest.approx(
             batch.metrics.byte_miss_ratio, abs=1e-12
-        )
+        ), policy
+        throughputs.append(report.throughput_jobs_per_s)
     # a soft floor: loopback HTTP + journal should comfortably clear
     # 100 jobs/sec at smoke scale on any machine that runs the suite
-    assert max(r["jobs_per_sec"] for r in records) > 100
+    assert max(throughputs) > 100

@@ -9,47 +9,40 @@ paths run the identical simulation — produce identical outputs.
 
 import pytest
 
-from repro.experiments.bench import (
-    CACHE_IN_REQUESTS,
-    MAX_FILE_FRACTION,
-    POPULARITY,
-    telemetry_overhead,
-)
-from repro.experiments.common import CACHE_SIZE, bundle_trace, get_scale
+from repro.experiments.bench import paired_times
+from repro.experiments.common import CACHE_SIZE
 from repro.sim.simulator import SimulationConfig, simulate_trace
 from repro.telemetry import NullSink, TraceRecorder
 
-
-def _bench_trace():
-    return bundle_trace(
-        get_scale("smoke"),
-        popularity=POPULARITY,
-        cache_in_requests=CACHE_IN_REQUESTS,
-        max_file_fraction=MAX_FILE_FRACTION,
-        seed=0,
-    )
+CONFIG = SimulationConfig(cache_size=CACHE_SIZE, policy="optbundle")
 
 
 @pytest.mark.benchmark(group="telemetry-overhead")
-def test_nullsink_overhead_within_3_percent(benchmark):
-    trace = _bench_trace()
-    result = benchmark.pedantic(
-        telemetry_overhead, args=(trace,), kwargs={"repeats": 5},
+def test_nullsink_overhead_within_3_percent(benchmark, bench_trace):
+    def no_recorder():
+        simulate_trace(bench_trace, CONFIG)
+
+    def nullsink():
+        simulate_trace(
+            bench_trace, CONFIG, recorder=TraceRecorder(NullSink(), profile=False)
+        )
+
+    times = benchmark.pedantic(
+        paired_times, args=(no_recorder, nullsink), kwargs={"repeats": 5},
         rounds=1, iterations=1,
     )
-    benchmark.extra_info.update(result)
-    assert result["nullsink_overhead"] <= 0.03, (
-        f"NullSink overhead {result['nullsink_overhead']:.1%} exceeds the "
+    overhead = times.slowdown_by_minima
+    benchmark.extra_info["nullsink_overhead"] = overhead
+    assert overhead <= 0.03, (
+        f"NullSink overhead {overhead:.1%} exceeds the "
         "3% contract over the no-recorder baseline"
     )
 
 
-def test_nullsink_leaves_outputs_unchanged():
-    trace = _bench_trace()
-    config = SimulationConfig(cache_size=CACHE_SIZE, policy="optbundle")
-    plain = simulate_trace(trace, config)
+def test_nullsink_leaves_outputs_unchanged(bench_trace):
+    plain = simulate_trace(bench_trace, CONFIG)
     nulled = simulate_trace(
-        trace, config, recorder=TraceRecorder(NullSink(), profile=False)
+        bench_trace, CONFIG, recorder=TraceRecorder(NullSink(), profile=False)
     )
     assert plain.metrics == nulled.metrics
     assert plain.cache_evictions == nulled.cache_evictions

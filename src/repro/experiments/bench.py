@@ -1,4 +1,4 @@
-"""``repro bench`` — a recorded end-to-end performance trajectory.
+"""``repro bench`` — the paper's decision-latency record.
 
 Two measurements, both written to ``BENCH_<name>.json`` at the repo root so
 successive commits leave a machine-readable speed trail next to the code:
@@ -16,28 +16,10 @@ successive commits leave a machine-readable speed trail next to the code:
   the rebuild-per-arrival path on a warm history of ``n`` candidate
   request types, reporting seconds/plan for both and the speedup.
 
-* **Telemetry overhead** — the same seeded replay with no recorder,
-  with the inert :class:`~repro.telemetry.sinks.NullSink` recorder and
-  with a live :class:`~repro.telemetry.sinks.JsonlSink`; the NullSink
-  column is the cost of having instrumentation compiled into the hot
-  paths at all (contract: ≤ 3% over the no-recorder baseline).
-
-* **Durability overhead** — the same seeded replay through
-  :func:`~repro.durability.runner.run_durable` (write-ahead journal +
-  periodic checkpoints) against the JSONL-traced plain run, since a
-  durable run always records a trace (contract: ≤ 10% over the traced
-  baseline in jobs/sec).
-
-* **Service throughput** — the same seeded workload replayed over real
-  HTTP against the in-process coordinator service (durable run dir,
-  journal, checkpoints), per policy: achieved jobs/sec plus the
-  client-observed p50/p99 request latency — the online system's answer
-  to the same Section 1.2 "negligible decision time" claim.
-
-* **Tracing overhead** — the same jobs submitted directly to the
-  durable coordinator state with request tracing on (ring capacity 256,
-  span trees built per job) against tracing off (ring 0); the marginal
-  cost of the observability layer (contract: ≤ 5% in jobs/sec).
+* :func:`paired_times` — the one paired A/B timer the overhead gates
+  under ``benchmarks/`` share (telemetry, durability and tracing); it
+  writes nothing to the record.  End-to-end speed is ``perfbench/``'s
+  yardstick.
 
 The workloads are fully seeded, so numbers differ across machines but the
 *shape* (speedup ratios, relative policy costs) is reproducible.
@@ -45,21 +27,25 @@ The workloads are fully seeded, so numbers differ across machines but the
 
 from __future__ import annotations
 
+import gc
 import json
 import platform
 import random
 import statistics
 import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.cache.registry import make_policy
 from repro.core.bundle import FileBundle
 from repro.core.history import TruncationMode
 from repro.core.optfilebundle import OptFileBundlePlanner
+from repro.errors import ConfigError, ReproError
 from repro.experiments.common import CACHE_SIZE, bundle_trace, get_scale
 from repro.sim.simulator import SimulationConfig, simulate_trace
 from repro.types import FileId, SizeBytes
+from repro.utils.stats import percentile
 from repro.utils.tables import render_table
 from repro.workload.trace import Trace
 
@@ -70,16 +56,14 @@ __all__ = [
     "planner_workload",
     "warm_planner",
     "warm_planner_timings",
-    "telemetry_overhead",
-    "durability_overhead",
-    "tracing_overhead",
-    "service_throughput",
+    "PairedTimes",
+    "paired_times",
     "run_bench",
     "render_bench",
 ]
 
 #: Bump when the JSON layout changes incompatibly.
-BENCH_SCHEMA_VERSION = 5
+BENCH_SCHEMA_VERSION = 6
 
 DEFAULT_POLICIES: tuple[str, ...] = ("optbundle", "landlord")
 
@@ -123,8 +107,8 @@ def _latency_stats(samples: Sequence[float]) -> dict:
     return {
         "n": n,
         "mean_s": sum(ordered) / n,
-        "p50_s": ordered[(n - 1) // 2],
-        "p95_s": ordered[int(0.95 * (n - 1))],
+        "p50_s": percentile(ordered, 50),
+        "p95_s": percentile(ordered, 95),
         "max_s": ordered[-1],
     }
 
@@ -229,336 +213,70 @@ def warm_planner_timings(n: int, *, plans: int = PLANNER_PLANS) -> dict:
 
 
 # --------------------------------------------------------------------- #
-# telemetry overhead
+# paired A/B timing (the overhead gates' one protocol)
 
 
-def telemetry_overhead(
-    trace: Trace,
-    *,
-    policy: str = "optbundle",
-    cache_size: SizeBytes = CACHE_SIZE,
-    repeats: int = 3,
-) -> dict:
-    """Best-of-``repeats`` replay times under each telemetry mode.
+@dataclass(frozen=True)
+class PairedTimes:
+    """Seconds per side of a :func:`paired_times` run, in pair order."""
 
-    The instrumentation cannot be compiled out, so the interesting
-    number is NullSink-vs-no-recorder: both hit the same ``rec.active``
-    guards, the baseline through the module :data:`NULL_RECORDER` and
-    the NullSink run through an explicitly installed inert recorder.
-    Best-of-N is used because scheduler noise only ever adds time.
-    """
-    import os
-    import tempfile
+    baseline: tuple[float, ...]
+    treatment: tuple[float, ...]
 
-    from repro.telemetry import JsonlSink, NullSink, TraceRecorder
+    @property
+    def slowdown_by_minima(self) -> float:
+        """``min(treatment) / min(baseline) - 1``: extra run time."""
+        return min(self.treatment) / min(self.baseline) - 1.0
 
-    config = SimulationConfig(cache_size=cache_size, policy=policy)
+    @property
+    def drop_by_minima(self) -> float:
+        """``1 - min(baseline) / min(treatment)``: throughput drop."""
+        return 1.0 - min(self.baseline) / min(self.treatment)
 
-    def best(run) -> float:
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            run()
-            times.append(time.perf_counter() - t0)
-        return min(times)
-
-    baseline_s = best(lambda: simulate_trace(trace, config))
-    nullsink_s = best(
-        lambda: simulate_trace(
-            trace, config, recorder=TraceRecorder(NullSink(), profile=False)
+    @property
+    def drop_by_pair_median(self) -> float:
+        """Median over pairs of ``1 - baseline_i / treatment_i``."""
+        return statistics.median(
+            1.0 - b / t for b, t in zip(self.baseline, self.treatment)
         )
-    )
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "bench_trace.jsonl")
-
-        def jsonl_run() -> None:
-            rec = TraceRecorder(JsonlSink(path))
-            try:
-                simulate_trace(trace, config, recorder=rec)
-            finally:
-                rec.close()
-
-        jsonl_s = best(jsonl_run)
-    return {
-        "policy": policy,
-        "n_jobs": len(trace),
-        "repeats": repeats,
-        "baseline_s": baseline_s,
-        "nullsink_s": nullsink_s,
-        "jsonl_s": jsonl_s,
-        "nullsink_overhead": nullsink_s / baseline_s - 1.0,
-        "jsonl_overhead": jsonl_s / baseline_s - 1.0,
-    }
 
 
-# --------------------------------------------------------------------- #
-# durability overhead
-
-
-def durability_overhead(
-    trace: Trace,
+def paired_times(
+    baseline: Callable[[], object],
+    treatment: Callable[[], object],
     *,
-    policy: str = "optbundle",
-    cache_size: SizeBytes = CACHE_SIZE,
-    checkpoint_every: int = 100,
-    repeats: int = 7,
-) -> dict:
-    """Best-of-``repeats`` durable run vs JSONL-traced plain run.
+    repeats: int,
+) -> PairedTimes:
+    """Time ``repeats`` back-to-back pairs of ``baseline`` and ``treatment``.
 
-    The fair baseline is the *traced* replay: a durable run always
-    records a trace, so the marginal cost measured here is the journal
-    appends, checkpoints and their flushes (the workload file is staged
-    by byte-copy, outside the contract).  The two sides are measured in
-    back-to-back pairs with alternating order (traced/durable,
-    durable/traced, ...) so noisy-neighbour phases on a shared machine
-    hit both sides instead of whichever one they land on.
-
-    The overhead is the smaller of two noise-robust estimates: the
-    ratio of per-side minima (undisturbed-runtime estimator) and the
-    median of per-pair ratios (drift-cancelling estimator).  On a
-    machine where interference only ever *adds* time, each estimator
-    errs upward, and they do so under different noise shapes — a phase
-    covering one side's every quiet window vs asymmetric contamination
-    of individual pairs — so the smaller one is the better estimate.
-    One untimed warmup pair precedes measurement and the cyclic GC is
-    paused throughout (checkpoint state exports allocate enough to
-    trigger collections mid-run otherwise).
+    One untimed warm-up pair (baseline, then treatment) runs first.  The
+    timed pairs alternate which side runs first (baseline in even pairs)
+    so a noisy-neighbour phase on a shared machine hits both sides
+    instead of whichever one it lands on.  The cyclic GC is paused for
+    the timed pairs, since checkpoint state exports allocate enough to
+    trigger collections mid-run, and its prior state is restored
+    afterwards, also when a side raises.
     """
-    import gc
-    import os
-    import tempfile
-
-    from repro.durability import DurabilityConfig, run_durable
-    from repro.telemetry import JsonlSink, TraceRecorder
-
-    config = SimulationConfig(cache_size=cache_size, policy=policy)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "bench_trace.jsonl")
-        # stage the workload file once: a durable run links its input
-        # into the run dir, which is setup, not journal/checkpoint cost
-        workload_path = os.path.join(tmp, "workload.jsonl")
-        trace.dump(workload_path)
-
-        def traced_run() -> None:
-            rec = TraceRecorder(JsonlSink(path))
-            try:
-                simulate_trace(trace, config, recorder=rec)
-            finally:
-                rec.close()
-
-        def durable_run(i: int) -> None:
-            run_durable(
-                trace,
-                config,
-                DurabilityConfig(
-                    run_dir=os.path.join(tmp, f"durable_{i}"),
-                    checkpoint_every=checkpoint_every,
-                ),
-                workload_source=workload_path,
-            )
-
-        traced_run()
-        durable_run(repeats)
-        ratios: list[float] = []
-        traced_s = durable_s = float("inf")
-        gc_was_enabled = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        try:
-            for i in range(repeats):
-                sides = [("traced", traced_run), ("durable", lambda i=i: durable_run(i))]
-                if i % 2:
-                    sides.reverse()
-                pair: dict[str, float] = {}
-                for label, fn in sides:
-                    t0 = time.perf_counter()
-                    fn()
-                    pair[label] = time.perf_counter() - t0
-                traced_s = min(traced_s, pair["traced"])
-                durable_s = min(durable_s, pair["durable"])
-                if pair["durable"] > 0:
-                    ratios.append(1.0 - pair["traced"] / pair["durable"])
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-    n = len(trace)
-    by_minima = 1.0 - traced_s / durable_s if durable_s > 0 else 0.0
-    by_pairs = statistics.median(ratios) if ratios else 0.0
-    return {
-        "policy": policy,
-        "n_jobs": n,
-        "repeats": repeats,
-        "checkpoint_every": checkpoint_every,
-        "traced_s": traced_s,
-        "durable_s": durable_s,
-        "traced_jobs_per_sec": n / traced_s if traced_s > 0 else float("inf"),
-        "durable_jobs_per_sec": n / durable_s if durable_s > 0 else float("inf"),
-        "overhead_by_minima": by_minima,
-        "overhead_by_pair_median": by_pairs,
-        # the contract metric: fractional drop in jobs/sec throughput
-        "durability_overhead": min(by_minima, by_pairs),
-    }
-
-
-# --------------------------------------------------------------------- #
-# request-tracing overhead
-
-
-def tracing_overhead(
-    trace: Trace,
-    *,
-    policy: str = "optbundle",
-    cache_size: SizeBytes = CACHE_SIZE,
-    checkpoint_every: int = 100,
-    repeats: int = 5,
-) -> dict:
-    """Tracing-on vs tracing-off submission throughput on the coordinator.
-
-    Submits every job of ``trace`` directly to a fresh durable
-    :class:`~repro.service.state.CoordinatorState` (no HTTP — the
-    network would drown the signal), once with the request tracer
-    enabled (ring 256, a span tree grown per job) and once disabled
-    (ring 0, the :meth:`~repro.telemetry.tracing.RequestTracer.request`
-    context is a no-op).  Measurement protocol is
-    :func:`durability_overhead`'s: alternating back-to-back pairs, GC
-    paused, and the smaller of the per-side-minima and per-pair-median
-    estimators.  The contract gated in CI is ≤ 5% jobs/sec.
-    """
-    import gc
-    import tempfile
-
-    from repro.service import CoordinatorState, ServiceConfig
-
-    requests = list(trace)
-    with tempfile.TemporaryDirectory() as tmp:
-        workload = Path(tmp) / "workload.jsonl"
-        trace.dump(workload)
-        run_seq = [0]
-
-        def run_once(debug_ring: int) -> None:
-            run_seq[0] += 1
-            state = CoordinatorState.create(
-                ServiceConfig(
-                    workload=workload,
-                    cache_size=cache_size,
-                    run_dir=Path(tmp) / f"run_{run_seq[0]}",
-                    policy=policy,
-                    checkpoint_every=checkpoint_every,
-                    debug_ring=debug_ring,
-                )
-            )
-            try:
-                tracer = state.tracer
-                for r in requests:
-                    with tracer.request(tracer.next_read_id(), route="/v1/jobs"):
-                        state.submit(sorted(r.bundle.files), priority=r.priority)
-            finally:
-                state.close()
-
-        run_once(0)
-        run_once(256)
-        baseline_s = traced_s = float("inf")
-        ratios: list[float] = []
-        gc_was_enabled = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        try:
-            for i in range(repeats):
-                sides = [("baseline", 0), ("traced", 256)]
-                if i % 2:
-                    sides.reverse()
-                pair: dict[str, float] = {}
-                for label, ring in sides:
-                    t0 = time.perf_counter()
-                    run_once(ring)
-                    pair[label] = time.perf_counter() - t0
-                baseline_s = min(baseline_s, pair["baseline"])
-                traced_s = min(traced_s, pair["traced"])
-                if pair["traced"] > 0:
-                    ratios.append(1.0 - pair["baseline"] / pair["traced"])
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-    n = len(requests)
-    by_minima = 1.0 - baseline_s / traced_s if traced_s > 0 else 0.0
-    by_pairs = statistics.median(ratios) if ratios else 0.0
-    return {
-        "policy": policy,
-        "n_jobs": n,
-        "repeats": repeats,
-        "debug_ring": 256,
-        "checkpoint_every": checkpoint_every,
-        "baseline_s": baseline_s,
-        "traced_s": traced_s,
-        "baseline_jobs_per_sec": n / baseline_s if baseline_s > 0 else float("inf"),
-        "traced_jobs_per_sec": n / traced_s if traced_s > 0 else float("inf"),
-        "overhead_by_minima": by_minima,
-        "overhead_by_pair_median": by_pairs,
-        # the contract metric: fractional drop in jobs/sec throughput
-        "tracing_overhead": min(by_minima, by_pairs),
-    }
-
-
-# --------------------------------------------------------------------- #
-# coordinator-service throughput
-
-
-def service_throughput(
-    trace: Trace,
-    *,
-    policies: Sequence[str] = DEFAULT_POLICIES,
-    cache_size: SizeBytes = CACHE_SIZE,
-    concurrency: int = 4,
-    checkpoint_every: int = 100,
-) -> list[dict]:
-    """Replay ``trace`` over HTTP against the coordinator, per policy.
-
-    Hosts the full durable service in-process (real loopback sockets,
-    journal, checkpoints) and drives it with the closed-loop load
-    generator; the record carries achieved jobs/sec and the
-    client-observed request-latency percentiles, which bound the
-    server's per-decision cost from above.
-    """
-    import tempfile
-
-    from repro.service import CoordinatorState, ServiceConfig, run_loadgen
-    from repro.service.testing import running_service
-
-    records: list[dict] = []
-    with tempfile.TemporaryDirectory() as tmp:
-        workload = Path(tmp) / "workload.jsonl"
-        trace.dump(workload)
-        for policy in policies:
-            state = CoordinatorState.create(
-                ServiceConfig(
-                    workload=workload,
-                    cache_size=cache_size,
-                    run_dir=Path(tmp) / f"run_{policy}",
-                    policy=policy,
-                    checkpoint_every=checkpoint_every,
-                )
-            )
-            with running_service(state) as svc:
-                report = run_loadgen(
-                    trace, svc.host, svc.port, concurrency=concurrency
-                )
-            records.append(
-                {
-                    "policy": policy,
-                    "n_jobs": report.jobs,
-                    "errors": report.errors,
-                    "concurrency": concurrency,
-                    "checkpoint_every": checkpoint_every,
-                    "elapsed_s": report.duration_s,
-                    "jobs_per_sec": report.throughput_jobs_per_s,
-                    "latency_p50_ms": report.latency_p50_ms,
-                    "latency_p99_ms": report.latency_p99_ms,
-                    "latency_mean_ms": report.latency_mean_ms,
-                    "byte_miss_ratio": report.byte_miss_ratio,
-                }
-            )
-    return records
+    baseline()
+    treatment()
+    base: list[float] = []
+    treat: list[float] = []
+    gc_was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(repeats):
+            pair = [(baseline, base), (treatment, treat)]
+            if i % 2:
+                pair.reverse()
+            for fn, times in pair:
+                t0 = time.perf_counter()
+                fn()
+                times.append(time.perf_counter() - t0)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return PairedTimes(tuple(base), tuple(treat))
 
 
 # --------------------------------------------------------------------- #
@@ -577,7 +295,14 @@ def run_bench(
     """Run the benchmark suite and write ``BENCH_<name>.json``.
 
     Returns the written record (with the output path under ``"path"``).
+    ``out_dir`` must be an existing directory; it is checked before any
+    timing so a bad path fails fast.
     """
+    out_path = Path(out_dir) / f"BENCH_{name}.json"
+    if not Path(out_dir).is_dir():
+        raise ConfigError(
+            f"bench output directory {str(out_dir)!r} is not an existing directory"
+        )
     sc = get_scale(scale)
     trace = bundle_trace(
         sc,
@@ -590,10 +315,6 @@ def run_bench(
     planner_records = [
         warm_planner_timings(n) for n in planner_candidates
     ]
-    telemetry_record = telemetry_overhead(trace)
-    durability_record = durability_overhead(trace)
-    tracing_record = tracing_overhead(trace)
-    service_records = service_throughput(trace, policies=policies)
     record = {
         "name": name,
         "schema_version": BENCH_SCHEMA_VERSION,
@@ -611,16 +332,14 @@ def run_bench(
         },
         "policies": policy_records,
         "planner": planner_records,
-        "telemetry": telemetry_record,
-        "durability": durability_record,
-        "tracing": tracing_record,
-        "service": service_records,
     }
-    out_path = Path(out_dir) / f"BENCH_{name}.json"
     # atomic: a crash mid-bench never leaves a torn benchmark record
     from repro.durability.atomicio import atomic_write_text
 
-    atomic_write_text(out_path, json.dumps(record, indent=2) + "\n")
+    try:
+        atomic_write_text(out_path, json.dumps(record, indent=2) + "\n")
+    except OSError as exc:
+        raise ReproError(f"cannot write {out_path}: {exc.strerror or exc}") from None
     record["path"] = str(out_path)
     return record
 
@@ -659,83 +378,4 @@ def render_bench(record: dict) -> str:
             planner_rows,
         ),
     ]
-    tel = record.get("telemetry")
-    if tel:
-        parts.append(f"telemetry overhead ({tel['policy']}, best of {tel['repeats']})")
-        parts.append(
-            render_table(
-                ["mode", "run [s]", "overhead"],
-                [
-                    ["no recorder", tel["baseline_s"], 0.0],
-                    ["NullSink", tel["nullsink_s"], tel["nullsink_overhead"]],
-                    ["JsonlSink", tel["jsonl_s"], tel["jsonl_overhead"]],
-                ],
-            )
-        )
-    svc = record.get("service")
-    if svc:
-        parts.append(
-            f"service throughput (HTTP loopback, concurrency "
-            f"{svc[0]['concurrency']})"
-        )
-        parts.append(
-            render_table(
-                ["policy", "jobs/sec", "p50 [ms]", "p99 [ms]", "byte miss"],
-                [
-                    [
-                        r["policy"],
-                        r["jobs_per_sec"],
-                        r["latency_p50_ms"],
-                        r["latency_p99_ms"],
-                        r["byte_miss_ratio"],
-                    ]
-                    for r in svc
-                ],
-            )
-        )
-    trc = record.get("tracing")
-    if trc:
-        parts.append(
-            f"tracing overhead ({trc['policy']}, ring {trc['debug_ring']}, "
-            f"best of {trc['repeats']})"
-        )
-        parts.append(
-            render_table(
-                ["mode", "run [s]", "jobs/sec", "overhead"],
-                [
-                    [
-                        "ring 0",
-                        trc["baseline_s"],
-                        trc["baseline_jobs_per_sec"],
-                        0.0,
-                    ],
-                    [
-                        "ring 256",
-                        trc["traced_s"],
-                        trc["traced_jobs_per_sec"],
-                        trc["tracing_overhead"],
-                    ],
-                ],
-            )
-        )
-    dur = record.get("durability")
-    if dur:
-        parts.append(
-            f"durability overhead ({dur['policy']}, checkpoint every "
-            f"{dur['checkpoint_every']} jobs, best of {dur['repeats']})"
-        )
-        parts.append(
-            render_table(
-                ["mode", "run [s]", "jobs/sec", "overhead"],
-                [
-                    ["traced", dur["traced_s"], dur["traced_jobs_per_sec"], 0.0],
-                    [
-                        "durable",
-                        dur["durable_s"],
-                        dur["durable_jobs_per_sec"],
-                        dur["durability_overhead"],
-                    ],
-                ],
-            )
-        )
     return "\n".join(parts)
