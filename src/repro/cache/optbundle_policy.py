@@ -79,10 +79,9 @@ class OptFileBundlePolicy(ReplacementPolicy):
     # ------------------------------------------------------------------ #
 
     def on_request(self, bundle: FileBundle) -> PolicyDecision:
+        cache = self.cache
         plan = self.planner.plan(
-            bundle,
-            set(self.cache.residents()),
-            pinned=self.cache.pinned_files(),
+            bundle, cache.residents(), cache.used, pinned=cache.pinned_files()
         )
         rec = self._recorder
         if rec.active:

@@ -192,7 +192,7 @@ class CacheState:
 
     def missing(self, bundle: FileBundle) -> frozenset[FileId]:
         """The bundle's files that are not resident."""
-        return bundle.missing_from(self._resident)
+        return bundle.missing_from(self._resident.keys())
 
     def supports(self, bundle: FileBundle) -> bool:
         """True when all files of the bundle are resident (a request-hit)."""

@@ -9,7 +9,7 @@ serves directly as the key of the request-history structure ``L(R)``.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, KeysView, Mapping
 
 from repro.errors import ConfigError, TypeContractError
 from repro.types import FileId, SizeBytes
@@ -94,13 +94,14 @@ class FileBundle:
 
     def size_under(self, sizes: Mapping[FileId, SizeBytes]) -> SizeBytes:
         """Total bytes of the bundle under a file-size mapping ``s(F(r))``."""
-        return sum(sizes[f] for f in self._files)
+        return sum(map(sizes.__getitem__, self._files))
 
     def missing_from(self, resident: Iterable[FileId]) -> frozenset[FileId]:
-        """The subset of this bundle's files not in ``resident``."""
-        if not isinstance(resident, (set, frozenset, dict)):
+        """The subset of this bundle's files not in ``resident`` (a set or
+        a dict keys view is not copied: the intersection walks the bundle)."""
+        if not isinstance(resident, (set, frozenset, KeysView)):
             resident = set(resident)
-        return frozenset(f for f in self._files if f not in resident)
+        return self._files - (resident & self._files)
 
     def sorted_ids(self) -> tuple[FileId, ...]:
         """File ids in lexicographic order (stable canonical form)."""

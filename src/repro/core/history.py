@@ -19,15 +19,20 @@ lets the candidate set be restricted three ways:
 * ``TruncationMode.WINDOW`` — only types seen in the last *W* arrivals;
 * ``TruncationMode.CACHE_SUPPORTED`` — only types whose files are all
   resident (given the resident set the caller maintains through
-  :meth:`RequestHistory.on_file_loaded` / :meth:`on_file_evicted`); an
-  incremental missing-file counter makes this O(degree) per cache change
-  instead of O(history) per arrival, and a ``_supported`` index keeps
-  :meth:`RequestHistory.candidates` at O(|supported|) per query instead of
-  an O(history) filter.
+  :meth:`RequestHistory.on_file_loaded` / :meth:`on_file_evicted`); a
+  per-entry missing-file counter makes this O(degree) per cache change
+  instead of O(history) per arrival.
+
+In every mode a candidate index (``eid → entry`` and ``file → {eid:
+entry}`` over the candidates only) changes only where candidacy does: at
+entry creation under FULL, a window count crossing 0↔1 under WINDOW, a
+missing count crossing 0↔1 under CACHE_SUPPORTED, and in :meth:`restore`.
+Each candidate caches the files another candidate also holds
+(:meth:`RequestHistory.shared_files`), the only files the greedy walks.
 
 Entries carry a stable integer id (``eid``, assigned in first-seen order)
 so downstream incremental structures — notably
-:class:`repro.core.selection_state.SelectionState` — can index candidates
+:class:`repro.core.selection_state.SelectionState` — can index entries
 without rebuilding per arrival; such structures subscribe to new-entry
 events via :meth:`RequestHistory.add_listener`.
 """
@@ -37,7 +42,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from repro.core.bundle import FileBundle
 from repro.errors import ConfigError
@@ -68,7 +73,13 @@ class HistoryEntry:
     count: int = 0
     first_seen: int = -1
     last_seen: int = -1
+    #: files of the bundle outside the history's resident view
+    missing: int = 0
     _last_decay_tick: int = field(default=0, repr=False)
+    # RequestHistory.shared_files cache; None when stale
+    _shared: tuple[FileId, ...] | None = field(
+        default=None, repr=False, compare=False
+    )
 
 
 class RequestHistory:
@@ -113,13 +124,12 @@ class RequestHistory:
         self._by_file: dict[FileId, list[HistoryEntry]] = {}
         # incremental-structure subscribers (see add_listener)
         self._listeners: list = []
-
-        # CACHE_SUPPORTED bookkeeping
         self._resident: set[FileId] = set()
-        self._missing: dict[FileBundle, int] = {}
-        # eid -> entry for every entry with zero missing files; sorting the
-        # (integer) keys restores first-seen order without scanning history
-        self._supported: dict[int, HistoryEntry] = {}
+
+        # the candidate index (see the module docstring)
+        self._candidates: dict[int, HistoryEntry] = {}
+        self._holders: dict[FileId, dict[int, HistoryEntry]] = {}
+        self._multi: set[FileId] = set()  # files two or more candidates hold
 
         # WINDOW bookkeeping
         self._window_arrivals: deque[FileBundle] = deque()
@@ -143,17 +153,7 @@ class RequestHistory:
                 bundle=bundle, eid=len(self._entries), first_seen=self._tick
             )
             entry._last_decay_tick = self._tick
-            self._entries[bundle] = entry
-            for f in bundle:
-                d = self._degree.get(f, 0) + 1
-                self._degree[f] = d
-                if d > self._max_degree:
-                    self._max_degree = d
-                self._by_file.setdefault(f, []).append(entry)
-            missing = sum(1 for f in bundle if f not in self._resident)
-            self._missing[bundle] = missing
-            if missing == 0:
-                self._supported[entry.eid] = entry
+            self._register(entry)
             for listener in self._listeners:
                 listener.on_entry_added(entry)
         self._apply_decay(entry)
@@ -163,7 +163,10 @@ class RequestHistory:
 
         if self._mode is TruncationMode.WINDOW:
             self._window_arrivals.append(bundle)
-            self._window_counts[bundle] = self._window_counts.get(bundle, 0) + 1
+            seen = self._window_counts.get(bundle, 0)
+            self._window_counts[bundle] = seen + 1
+            if not seen:
+                self._admit(entry)
             assert self._window is not None
             while len(self._window_arrivals) > self._window:
                 old = self._window_arrivals.popleft()
@@ -172,7 +175,59 @@ class RequestHistory:
                     self._window_counts[old] = remaining
                 else:
                     del self._window_counts[old]
+                    self._retire(self._entries[old])
         return entry
+
+    def _register(self, entry: HistoryEntry) -> None:
+        """Index a new entry's degrees, files, missing count and candidacy."""
+        bundle = entry.bundle
+        self._entries[bundle] = entry
+        resident = self._resident
+        missing = 0
+        for f in bundle:
+            d = self._degree.get(f, 0) + 1
+            self._degree[f] = d
+            if d > self._max_degree:
+                self._max_degree = d
+            self._by_file.setdefault(f, []).append(entry)
+            if f not in resident:
+                missing += 1
+        entry.missing = missing
+        mode = self._mode
+        if mode is TruncationMode.FULL or (
+            mode is TruncationMode.CACHE_SUPPORTED and not missing
+        ):
+            self._admit(entry)
+
+    def _admit(self, entry: HistoryEntry) -> None:
+        """Make ``entry`` a candidate; drop the shared-file tuples that
+        change because one of its files gained a second holder."""
+        eid = entry.eid
+        self._candidates[eid] = entry
+        entry._shared = None
+        index = self._holders
+        for f in entry.bundle:
+            holders = index.setdefault(f, {})
+            holders[eid] = entry
+            if len(holders) == 2:
+                self._multi.add(f)
+                for other in holders.values():
+                    other._shared = None
+
+    def _retire(self, entry: HistoryEntry) -> None:
+        """Withdraw a candidate; the inverse of :meth:`_admit`."""
+        eid = entry.eid
+        del self._candidates[eid]
+        index = self._holders
+        for f in entry.bundle:
+            holders = index[f]
+            del holders[eid]
+            if len(holders) == 1:
+                self._multi.discard(f)
+                for other in holders.values():
+                    other._shared = None
+            elif not holders:
+                del index[f]
 
     def _apply_decay(self, entry: HistoryEntry) -> None:
         if self._decay >= 1.0:
@@ -190,28 +245,28 @@ class RequestHistory:
         if file_id in self._resident:
             return
         self._resident.add(file_id)
+        track = self._mode is TruncationMode.CACHE_SUPPORTED
         for entry in self._by_file.get(file_id, ()):
-            bundle = entry.bundle
-            left = self._missing[bundle] - 1
-            self._missing[bundle] = left
-            if left == 0:
-                self._supported[entry.eid] = entry
+            left = entry.missing - 1
+            entry.missing = left
+            if not left and track:
+                self._admit(entry)
 
     def on_file_evicted(self, file_id: FileId) -> None:
         """Tell the history a file left the cache."""
         if file_id not in self._resident:
             return
         self._resident.discard(file_id)
+        track = self._mode is TruncationMode.CACHE_SUPPORTED
         for entry in self._by_file.get(file_id, ()):
-            bundle = entry.bundle
-            if self._missing[bundle] == 0:
-                del self._supported[entry.eid]
-            self._missing[bundle] += 1
+            if not entry.missing and track:
+                self._retire(entry)
+            entry.missing += 1
 
     def sync_resident(self, resident: Iterable[FileId]) -> None:
         """Replace the resident view wholesale (used at (re)initialisation).
 
-        Sorted so the `_supported` index is rebuilt in a reproducible
+        Sorted so the candidate index is rebuilt in a reproducible
         insertion order regardless of the set hash seed.
         """
         target = set(resident)
@@ -296,36 +351,60 @@ class RequestHistory:
 
         For ``CACHE_SUPPORTED``, these are exactly the request types whose
         files are all currently resident according to the notifications the
-        caller delivered, read from the incrementally maintained
-        ``_supported`` index in first-seen order — O(|supported|), never a
-        filter over the whole history.
+        caller delivered, in first-seen order; under ``WINDOW`` they follow
+        the window's first-arrival order.  Read from the candidate index —
+        O(|candidates|), never a filter over the whole history.
         """
-        if self._mode is TruncationMode.FULL:
-            result = list(self._entries.values())
-        elif self._mode is TruncationMode.WINDOW:
-            result = [self._entries[b] for b in self._window_counts]
+        candidates = self._candidates
+        if self._mode is TruncationMode.CACHE_SUPPORTED:
+            result = [candidates[eid] for eid in sorted(candidates)]
         else:
-            result = [self._supported[eid] for eid in sorted(self._supported)]
+            result = list(candidates.values())
         if self._decay < 1.0:
             for entry in result:
                 self._apply_decay(entry)
         return result
 
+    def shared_files(
+        self, candidates: Sequence[HistoryEntry]
+    ) -> list[tuple[FileId, ...]]:
+        """Per candidate, its files that another candidate also holds.
+
+        In bundle order (sorted, as :class:`FileBundle` iterates); cached on
+        the entry until one of its files crosses the 1↔2 holder boundary.
+        """
+        result = [entry._shared for entry in candidates]
+        if None in result:
+            for k, entry in enumerate(candidates):
+                if result[k] is None:
+                    entry._shared = tuple(sorted(entry.bundle.files & self._multi))
+                    result[k] = entry._shared
+        return result  # type: ignore[return-value]
+
+    def candidate_index(self) -> Mapping[FileId, Mapping[int, HistoryEntry]]:
+        """``file → {eid: entry}`` over the candidates (live; read only)."""
+        return self._holders
+
+    def entries_with(self, file_id: FileId) -> Sequence[HistoryEntry]:
+        """Every entry whose bundle holds ``file_id``, in ``eid`` order."""
+        return self._by_file.get(file_id, ())
+
     def supported(self, bundle: FileBundle) -> bool:
         """Whether every file of a known bundle is currently resident."""
-        missing = self._missing.get(bundle)
-        if missing is None:
+        entry = self._entries.get(bundle)
+        if entry is None:
             return bundle.issubset(self._resident)
-        return missing == 0
+        return entry.missing == 0
 
     def resident_within(self, resident: AbstractSet[FileId]) -> bool:
         """Whether every file this history believes resident is in ``resident``.
 
         The notifications can lag the cache (a fault evicting a file the
         planner was never told about); when they do, a ``CACHE_SUPPORTED``
-        candidate may name files the cache no longer holds.
+        candidate may name files the cache no longer holds.  ``<=`` stays
+        in C for a set or a dict keys view and copies neither.
         """
-        return self._resident.issubset(resident)
+        return self._resident <= resident
 
     def resident_view(self) -> frozenset[FileId]:
         """The resident set as last synchronised (debug/verification aid)."""
@@ -377,11 +456,10 @@ class RequestHistory:
             window=state["window"],
             decay=float(state["decay"]),
         )
-        resident = set(str(f) for f in state["resident"])
+        hist._resident = set(str(f) for f in state["resident"])
         for rec in state["entries"]:
-            bundle = FileBundle(rec["files"])
             entry = HistoryEntry(
-                bundle=bundle,
+                bundle=FileBundle(rec["files"]),
                 eid=len(hist._entries),
                 value=float(rec["value"]),
                 count=int(rec["count"]),
@@ -389,21 +467,12 @@ class RequestHistory:
                 last_seen=int(rec["last_seen"]),
             )
             entry._last_decay_tick = int(rec["decay_tick"])
-            hist._entries[bundle] = entry
-            for f in bundle:
-                d = hist._degree.get(f, 0) + 1
-                hist._degree[f] = d
-                if d > hist._max_degree:
-                    hist._max_degree = d
-                hist._by_file.setdefault(f, []).append(entry)
-            missing = sum(1 for f in bundle if f not in resident)
-            hist._missing[bundle] = missing
-            if missing == 0:
-                hist._supported[entry.eid] = entry
-        hist._resident = resident
+            hist._register(entry)
         hist._tick = int(state["tick"])
         for files in state["window_arrivals"]:
             hist._window_arrivals.append(FileBundle(files))
         for files, n in state["window_counts"]:
-            hist._window_counts[FileBundle(files)] = int(n)
+            bundle = FileBundle(files)
+            hist._window_counts[bundle] = int(n)
+            hist._admit(hist._entries[bundle])
         return hist

@@ -20,15 +20,17 @@ Two variants are provided, selected by ``refine``:
 * ``refine=True`` (default) — the paper's "Note" improvement: after each
   selection the sizes of already-selected files are treated as zero and the
   remaining requests re-ranked, so requests sharing files with the current
-  solution become cheaper.  Implemented incrementally with an inverted
-  file → candidate index, so a full re-sort per step is never materialised.
+  solution become cheaper.  Implemented incrementally over the files the
+  candidates share (:func:`_greedy`), so a full re-sort per step is never
+  materialised.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from repro.core.bundle import FileBundle
 from repro.core.history import RequestHistory
@@ -197,72 +199,6 @@ def _empty_selection() -> CacheSelection:
     return CacheSelection((), (), frozenset(), 0.0, 0)
 
 
-def _marginal_size(
-    inst: FBCInstance, bundle: FileBundle, free: frozenset[FileId]
-) -> SizeBytes:
-    return sum(inst.sizes[f] for f in bundle if f not in free)
-
-
-def _best_single(
-    inst: FBCInstance, free: frozenset[FileId] = frozenset()
-) -> tuple[int, float] | None:
-    """Index and value of the highest-value candidate fitting alone."""
-    best: tuple[int, float] | None = None
-    for i, bundle in enumerate(inst.bundles):
-        if _marginal_size(inst, bundle, free) <= inst.budget:
-            if best is None or inst.values[i] > best[1]:
-                best = (i, inst.values[i])
-    return best
-
-
-_UNSET = object()
-
-
-def _finish(
-    inst: FBCInstance,
-    chosen: list[int],
-    *,
-    safeguard: bool = True,
-    free: frozenset[FileId] = frozenset(),
-    single: "tuple[int, float] | None | object" = _UNSET,
-) -> CacheSelection:
-    """Apply Step 3 (single-request safeguard) and assemble the result.
-
-    ``used_bytes`` counts only bytes charged against the budget, i.e. files
-    outside the ``free`` set.  ``single`` lets callers pass a precomputed
-    best-single-request candidate to avoid a second scan.
-    """
-    total = sum(inst.values[i] for i in chosen)
-    if not safeguard:
-        best = None
-    elif single is _UNSET:
-        best = _best_single(inst, free)
-    else:
-        best = single  # type: ignore[assignment]
-    if best is not None and best[1] > total:
-        idx = best[0]
-        bundle = inst.bundles[idx]
-        return CacheSelection(
-            selected=(idx,),
-            bundles=(bundle,),
-            files=frozenset(bundle.files),
-            total_value=best[1],
-            used_bytes=_marginal_size(inst, bundle, free),
-            single_fallback=True,
-        )
-    files: set[FileId] = set()
-    for i in chosen:
-        files.update(inst.bundles[i].files)
-    used = sum(inst.sizes[f] for f in files if f not in free)
-    return CacheSelection(
-        selected=tuple(chosen),
-        bundles=tuple(inst.bundles[i] for i in chosen),
-        files=frozenset(files),
-        total_value=total,
-        used_bytes=used,
-    )
-
-
 def _select_plain(
     inst: FBCInstance,
     *,
@@ -271,29 +207,148 @@ def _select_plain(
     degree_blind: bool = False,
 ) -> CacheSelection:
     degrees = inst.effective_degrees(degree_blind=degree_blind)
+    bundles, values = inst.bundles, inst.values
     # Precompute the ranking key once per candidate; evaluating
     # relative_value inside the sort key would cost one adjusted-size sum
     # per key call rather than one per candidate.
     keys = [
-        (
-            -relative_value(inst.values[i], inst.bundles[i], inst.sizes, degrees),
-            -inst.values[i],
-            i,
-        )
-        for i in range(len(inst.bundles))
+        (-relative_value(values[i], bundles[i], inst.sizes, degrees), -values[i], i)
+        for i in range(len(bundles))
     ]
-    order = sorted(range(len(inst.bundles)), key=keys.__getitem__)
+    order = sorted(range(len(bundles)), key=keys.__getitem__)
+    # bytes each request is charged: its files outside ``free``
+    marginal = [sum(inst.sizes[f] for f in b if f not in free) for b in bundles]
     remaining = inst.budget
     chosen: list[int] = []
     for i in order:
-        size = _marginal_size(inst, inst.bundles[i], free)
-        if size <= remaining:
+        if marginal[i] <= remaining:
             chosen.append(i)
-            remaining -= size
-    return _finish(inst, chosen, safeguard=safeguard, free=free)
+            remaining -= marginal[i]
+    total = sum(values[i] for i in chosen)
+    if safeguard:
+        # Step 3: the first highest-value request fitting alone
+        fits = [i for i in range(len(bundles)) if marginal[i] <= inst.budget]
+        best = max(fits, key=values.__getitem__, default=None)
+        if best is not None and values[best] > total:
+            b = bundles[best]
+            return CacheSelection(
+                (best,), (b,), b.files, values[best], marginal[best], True
+            )
+    files = frozenset().union(*[bundles[i].files for i in chosen])
+    return CacheSelection(
+        selected=tuple(chosen),
+        bundles=tuple(bundles[i] for i in chosen),
+        files=files,
+        total_value=total,
+        used_bytes=sum(inst.sizes[f] for f in files if f not in free),
+    )
 
 
 _EPS = 1e-12
+
+
+def _greedy(
+    bundles: Sequence[FileBundle],
+    values: Sequence[float],
+    rem_adj: list[float],
+    rem_real: list[float],
+    shared: Sequence[tuple[FileId, ...]],
+    holders: Mapping[FileId, Iterable[int]],
+    pos: Sequence[int] | Mapping[int, int],
+    adj_size: Mapping[FileId, float],
+    sizes: Mapping[FileId, SizeBytes],
+    free: AbstractSet[FileId],
+    budget: SizeBytes,
+    *,
+    seed: Sequence[int] = (),
+    safeguard: bool = True,
+) -> CacheSelection:
+    """The refined greedy, Step 3 included; both selection paths call it.
+
+    Candidate ``k`` is ``bundles[k]`` with value ``values[k]`` and residual
+    sizes ``rem_adj[k]``/``rem_real[k]`` over its files outside ``free``;
+    ``shared[k]`` lists, in bundle order, its files another candidate
+    holds, and ``holders[f]`` those candidates by key, ``pos`` mapping a key
+    to its index.  ``seed`` indices (partial
+    enumeration) are taken first; a repeated or unfitting one raises
+    :class:`~repro.errors.ConfigError`.
+
+    Taking ``k`` charges ``rem_real[k]`` whole (exact: sizes are integers)
+    and walks only its untaken shared files, subtracting from each other
+    holder in the order a walk over every file would, so every float
+    matches.  A lazy max-heap yields the argmax: scores only grow, each
+    growth pushes a fresh entry and stale snapshots are skipped, so the
+    pop order depends only on the entries held, not on push order.
+    """
+    n = len(values)
+    inf = float("inf")
+    taken = set(free)
+    # Step 3 needs the best *initially fitting* single request (index,
+    # value, bytes); capture it before the greedy shrinks the residuals
+    single: tuple[int, float, float] | None = None
+    slack = budget + _EPS
+    fits = [k for k in range(n) if rem_real[k] <= slack] if safeguard else []
+    if fits:
+        k = max(fits, key=values.__getitem__)  # the first of the highest
+        single = (k, values[k], rem_real[k])
+
+    score = [v / a if a > _EPS else inf for v, a in zip(values, rem_adj)]
+    # Max-heap of (-score, index, score snapshot); stale entries are the
+    # ones whose snapshot no longer matches score[k].
+    heap = list(zip(map(operator.neg, score), range(n), score))
+    heapq.heapify(heap)
+    active = [True] * n
+    remaining = float(budget)
+    charged = 0.0  # integer-valued, so exact
+    chosen: list[int] = []
+    seeds = list(reversed(seed))
+    heappush, heappop = heapq.heappush, heapq.heappop
+    while seeds or heap:
+        if seeds:
+            k = seeds.pop()
+            if not active[k]:
+                raise ConfigError(f"duplicate seed index {k}")
+            if rem_real[k] > remaining + _EPS:
+                raise ConfigError(f"seed index {k} does not fit the budget")
+        else:
+            _neg, k, snap = heappop(heap)
+            if not active[k] or snap != score[k]:
+                continue  # stale or already decided
+            if rem_real[k] > remaining + _EPS:
+                active[k] = False  # skipped: insufficient space (Step 2)
+                continue
+        chosen.append(k)
+        active[k] = False
+        remaining -= rem_real[k]
+        charged += rem_real[k]
+        for f in shared[k]:
+            if f in taken:
+                continue
+            taken.add(f)
+            af, sf = adj_size[f], sizes[f]
+            for j in map(pos.__getitem__, holders[f]):
+                if not active[j]:
+                    continue
+                rem_adj[j] -= af
+                rem_real[j] -= sf
+                new = values[j] / rem_adj[j] if rem_adj[j] > _EPS else inf
+                score[j] = new
+                heappush(heap, (-new, j, new))
+
+    # summed in selection order, as the plain path sums it
+    total = sum(values[k] for k in chosen)
+    if single is not None and single[1] > total:
+        k, value, real = single
+        return CacheSelection(
+            (k,), (bundles[k],), bundles[k].files, value, int(real), True
+        )
+    return CacheSelection(
+        selected=tuple(chosen),
+        bundles=tuple([bundles[k] for k in chosen]),
+        files=frozenset().union(*[bundles[k].files for k in chosen]),
+        total_value=total,
+        used_bytes=int(charged),
+    )
 
 
 def _select_refined(
@@ -306,28 +361,17 @@ def _select_refined(
 ) -> CacheSelection:
     """Refined greedy, optionally starting from pre-selected ``seed`` indices.
 
-    ``seed`` is used by the partial-enumeration variant
-    (:func:`repro.core.kenum.opt_cache_select_enum`); seeds whose union does
-    not fit the budget raise :class:`~repro.errors.ConfigError`.  Files in
-    ``free`` are charged zero bytes (they are already reserved in the cache
-    by the caller — the paper's "set to 0 the size of files already in the
-    cache").  With ``safeguard=False`` Step 3 (single-request comparison) is
-    skipped, which the ablation benchmarks use to expose its effect.
-
-    The greedy uses a lazy max-heap: a candidate's score ``v / rem_adj``
-    only ever *increases* (selections shrink residual adjusted sizes), and
-    every increase pushes a fresh heap entry, so each candidate's newest
-    entry carries its exact current score and older entries are strictly
-    dominated — popping the first up-to-date entry yields the true argmax.
-    Total cost is O(M log M) in the number of (file, candidate)
-    memberships, instead of a full rescan per selection round (this runs
-    once per simulated job, so the constant matters).
+    Builds the :func:`_greedy` inputs from scratch.  ``seed`` is used by
+    the partial-enumeration variant
+    (:func:`repro.core.kenum.opt_cache_select_enum`).  Files in ``free``
+    are charged zero bytes (they are already reserved in the cache by the
+    caller — the paper's "set to 0 the size of files already in the
+    cache").  With ``safeguard=False`` Step 3 (single-request comparison)
+    is skipped, which the ablation benchmarks use to expose its effect.
     """
     degrees = inst.effective_degrees(degree_blind=degree_blind)
     sizes = inst.sizes
     n = len(inst.bundles)
-    inf = float("inf")
-
     adj_size = {f: sizes[f] / degrees[f] for f in degrees}
     rem_adj = [0.0] * n
     rem_real = [0.0] * n
@@ -342,63 +386,14 @@ def _select_refined(
             containing.setdefault(f, []).append(i)
         rem_adj[i] = a
         rem_real[i] = r
-
-    values = inst.values
-    active = [True] * n
-    selected_files: set[FileId] = set(free)
-    remaining = float(inst.budget)
-    chosen: list[int] = []
-
-    # Step 3 needs the best *initially fitting* single request; capture it
-    # from the untouched residual sizes before the greedy mutates them.
-    single: tuple[int, float] | None = None
-    if safeguard:
-        budget = inst.budget + _EPS
-        for i in range(n):
-            if rem_real[i] <= budget and (single is None or values[i] > single[1]):
-                single = (i, values[i])
-
-    score = [values[i] / rem_adj[i] if rem_adj[i] > _EPS else inf for i in range(n)]
-    # Max-heap of (-score, index, score snapshot); stale entries are the
-    # ones whose snapshot no longer matches score[i].
-    heap: list[tuple[float, int, float]] = [(-score[i], i, score[i]) for i in range(n)]
-    heapq.heapify(heap)
-
-    def select(i: int) -> None:
-        nonlocal remaining
-        chosen.append(i)
-        active[i] = False
-        remaining -= rem_real[i]
-        for f in inst.bundles[i]:
-            if f in selected_files:
-                continue
-            selected_files.add(f)
-            af, sf = adj_size[f], sizes[f]
-            for j in containing[f]:
-                if not active[j]:
-                    continue
-                rem_adj[j] -= af
-                rem_real[j] -= sf
-                new = values[j] / rem_adj[j] if rem_adj[j] > _EPS else inf
-                score[j] = new
-                heapq.heappush(heap, (-new, j, new))
-
-    for i in seed:
-        if not active[i]:
-            raise ConfigError(f"duplicate seed index {i}")
-        if rem_real[i] > remaining + _EPS:
-            raise ConfigError(f"seed index {i} does not fit the budget")
-        select(i)
-
-    while heap:
-        _neg, i, snap = heapq.heappop(heap)
-        if not active[i] or snap != score[i]:
-            continue  # stale or already decided
-        if rem_real[i] <= remaining + _EPS:
-            select(i)
-        else:
-            active[i] = False  # skipped: insufficient space (Step 2)
-    return _finish(inst, chosen, safeguard=safeguard, free=free, single=single)
+    multi = {f for f, holders in containing.items() if len(holders) > 1}
+    # sorted is bundle order, as FileBundle iterates
+    shared = [tuple(sorted(b.files & multi)) for b in inst.bundles]
+    return _greedy(
+        inst.bundles, inst.values, rem_adj, rem_real, shared, containing,
+        range(n), adj_size, sizes, free, inst.budget, seed=seed,
+        safeguard=safeguard,
+    )
 
 
 def opt_cache_select(

@@ -203,13 +203,15 @@ class OptFileBundlePlanner:
         self,
         bundle: FileBundle,
         resident: AbstractSet[FileId],
+        used: SizeBytes,
         *,
         pinned: AbstractSet[FileId] = frozenset(),
     ) -> LoadPlan:
         """Compute the replacement decision for one arrival (Steps 1–3).
 
-        ``resident`` is the current cache content; ``pinned`` files (in use
-        by concurrently serviced jobs) are never chosen as eviction
+        ``resident`` is the current cache content (a live view is fine: it
+        is not copied) and ``used`` the bytes it occupies; ``pinned`` files
+        (in use by concurrently serviced jobs) are never chosen as eviction
         victims.  Raises :class:`~repro.errors.CacheCapacityError` when the
         bundle alone cannot fit in the cache, or when pins leave too little
         evictable space.
@@ -220,7 +222,6 @@ class OptFileBundlePlanner:
             raise CacheCapacityError(bundle_size, self._capacity)
 
         missing = bundle.missing_from(resident)
-        used = sum(sizes[f] for f in resident)
         need = sum(sizes[f] for f in missing)
         if self._provably_inert(resident, used + need):
             return LoadPlan(
@@ -249,8 +250,9 @@ class OptFileBundlePlanner:
                     degree_blind=self._degree_blind,
                 )
 
-        keep = frozenset(selection.files | bundle.files)
-        prefetch = frozenset(selection.files - resident - bundle.files)
+        keep = selection.files | bundle.files
+        extra = selection.files - bundle.files
+        prefetch = extra - (resident & extra)
         need += sum(sizes[f] for f in prefetch)
         evict = self._choose_victims(resident, keep, used, need, pinned)
         return LoadPlan(
@@ -289,9 +291,9 @@ class OptFileBundlePlanner:
         pinned: AbstractSet[FileId],
     ) -> frozenset[FileId]:
         """Victims freeing room for ``need`` bytes on top of ``used``."""
-        unselected = resident - keep - pinned
         sizes = self._sizes
         if self._eager:
+            unselected = resident - keep - pinned
             left = used - sum(sizes[f] for f in unselected)
             if left + need > self._capacity:
                 raise CacheCapacityError(left + need - self._capacity, 0)
@@ -301,6 +303,7 @@ class OptFileBundlePlanner:
             return frozenset()
         victims: list[FileId] = []
         degree = self._history.degree
+        unselected = resident - keep - pinned
         for f in sorted(unselected, key=lambda f: (degree(f), -sizes[f], f)):
             victims.append(f)
             overflow -= sizes[f]

@@ -3,30 +3,30 @@
 Section 1.2 of the paper requires the replacement decision to be evaluated
 "in an almost negligible time relative to the time it takes to cache an
 object".  The from-scratch path (:func:`repro.core.optcacheselect.opt_cache_select`
-over :meth:`FBCInstance.from_history`) rebuilds, on *every* arrival:
+over :meth:`FBCInstance.from_history`) rebuilds, on *every* arrival, the
+candidate list, the effective degrees and adjusted sizes ``s(f)/d(f)``,
+an inverted file → candidate index and the per-candidate residual sizes,
+all of which change only slowly between arrivals.
 
-* the candidate list (an O(history) filter under ``CACHE_SUPPORTED``),
-* the effective degree map and adjusted sizes ``s(f)/d(f)``,
-* the inverted file → candidate index (``containing``),
-* the per-candidate residual adjusted/real size arrays,
-
-all of which change only slowly between arrivals.  :class:`SelectionState`
-keeps those structures alive across plans and updates them incrementally:
-
-* it subscribes to :meth:`RequestHistory.add_listener`, so a *new* request
-  type appends to the inverted index and refreshes the adjusted sizes of
-  exactly the files whose degree changed (degrees only ever grow);
-* candidate membership (support/window changes, value bumps, decay) is read
-  per plan from the history's own incremental indexes — O(|candidates|),
-  never O(history).
+:class:`SelectionState` keeps the degree-derived part alive across plans:
+it subscribes to :meth:`RequestHistory.add_listener`, so a *new* request
+type refreshes the adjusted sizes of exactly the files whose degree
+changed (degrees only ever grow) and marks stale the cached base sizes
+of the entries holding them.  Everything candidate-shaped comes from the history's
+candidate index: the candidates themselves and, per candidate, the tuple
+of files another candidate also holds.  A plan therefore costs
+O(|candidates| + shared memberships): the shared greedy
+(:func:`repro.core.optcacheselect._greedy`) charges a chosen candidate's
+private files in one step and walks only its shared ones.
 
 Bit-for-bit equivalence with the from-scratch path
 --------------------------------------------------
 The differential tests require :meth:`select` to return *byte-for-byte*
 the same :class:`CacheSelection` as ``opt_cache_select`` on a freshly built
-instance.  Floating-point addition is not associative, so the cached
-per-bundle adjusted sizes are **recomputed in bundle iteration order**
-whenever a member file's degree changes (never updated by a delta), and
+instance.  Floating-point addition is not associative, so a cached
+per-bundle adjusted size is **recomputed in bundle iteration order** when
+first read after a member file's degree changes (never updated by a
+delta), and
 bundles overlapping the per-call ``free`` set get their residual sizes
 recomputed the same way the from-scratch loop accumulates them.  Every sum
 here therefore reproduces the exact float the rebuild path produces.
@@ -34,22 +34,17 @@ here therefore reproduces the exact float the rebuild path produces.
 
 from __future__ import annotations
 
-import heapq
 from typing import AbstractSet, Mapping
 
 from repro.core.history import HistoryEntry, RequestHistory
-from repro.core.optcacheselect import (
-    _EPS,
-    CacheSelection,
-    FBCInstance,
-    _empty_selection,
-    _finish,
-)
+from repro.core.optcacheselect import CacheSelection, _empty_selection, _greedy
 from repro.errors import StateInvariantError
 from repro.telemetry import current_recorder
 from repro.types import FileId, SizeBytes
 
 __all__ = ["SelectionState"]
+
+_STALE = -1.0
 
 
 class SelectionState:
@@ -66,11 +61,11 @@ class SelectionState:
 
     Notes
     -----
-    The state only caches *degree-derived* quantities (adjusted sizes,
-    per-bundle base sizes, the inverted index).  Values, decay and
-    candidate membership are read from the history per call, so
-    fault-injected eviction notifications and window churn need no
-    dedicated synchronisation.
+    The state only caches *degree-derived* quantities (adjusted sizes and
+    per-bundle base sizes).  Values, decay, candidate membership and the
+    shared files are read from the history per call, so fault-injected
+    eviction notifications and window churn need no dedicated
+    synchronisation.
     """
 
     def __init__(self, history: RequestHistory, sizes: Mapping[FileId, SizeBytes]):
@@ -79,9 +74,9 @@ class SelectionState:
         self._recorder = current_recorder()
         # s(f) / d(f) under the *global* degrees; refreshed on degree change
         self._adj_size: dict[FileId, float] = {}
-        # file -> eids of entries containing it, in eid (first-seen) order
-        self._containing: dict[FileId, list[int]] = {}
-        # per-eid cached quantities, indexed by entry id
+        # per-eid cached quantities, indexed by entry id; a base adjusted
+        # size is _STALE (sizes are positive) until next read after a
+        # degree change
         self._bundles: list = []
         self._base_adj: list[float] = []
         self._base_real: list[float] = []
@@ -99,36 +94,30 @@ class SelectionState:
             )
         bundle = entry.bundle
         sizes = self._sizes
-        degree = self._history.degree
-        stale: set[int] = set()
-        for f in bundle:
-            self._adj_size[f] = sizes[f] / max(1, degree(f))
-            holders = self._containing.setdefault(f, [])
-            stale.update(holders)
-            holders.append(eid)
+        history = self._history
+        base_adj = self._base_adj
         self._bundles.append(bundle)
-        self._base_adj.append(0.0)
-        self._base_real.append(0.0)
-        self._refresh_base(eid)
-        # refreshes are independent per entry (each rewrites only its own
-        # cached floats), but sort so maintenance order is reproducible
-        for other in sorted(stale):
-            self._refresh_base(other)
+        base_adj.append(_STALE)
+        self._base_real.append(float(bundle.size_under(sizes)))
+        for f in bundle:
+            self._adj_size[f] = sizes[f] / max(1, history.degree(f))
+            for other in history.entries_with(f):
+                if other.eid >= eid:
+                    break  # later entries of a warm history are replayed next
+                base_adj[other.eid] = _STALE
 
-    def _refresh_base(self, eid: int) -> None:
-        """Recompute one bundle's base sizes in bundle iteration order.
+    def _refresh_adj(self, eid: int) -> float:
+        """Recompute one bundle's base adjusted size in bundle iteration order.
 
         Full recomputation (not a delta) so the cached float equals the
         left-to-right sum the from-scratch path accumulates.
         """
         adj = self._adj_size
-        sizes = self._sizes
-        a = r = 0.0
+        a = 0.0
         for f in self._bundles[eid]:
             a += adj[f]
-            r += sizes[f]
         self._base_adj[eid] = a
-        self._base_real[eid] = r
+        return a
 
     # ------------------------------------------------------------------ #
     # selection
@@ -142,46 +131,37 @@ class SelectionState:
     ) -> CacheSelection:
         """Refined greedy over the current candidates, incremental edition.
 
-        Mirrors :func:`repro.core.optcacheselect._select_refined` step for
-        step, but draws ``containing``/``adj_size`` and the base residual
-        sizes from the persistent state instead of rebuilding them; only
+        Feeds :func:`repro.core.optcacheselect._greedy` the same inputs
+        :func:`~repro.core.optcacheselect._select_refined` builds, but
+        draws ``adj_size``, the base residual sizes and the shared files
+        from the persistent state and the history's candidate index; only
         candidates sharing a file with ``free`` (the arriving bundle) have
         their residuals recomputed for this call.
         """
         with self._recorder.span("optbundle.select"):
-            return self._select(budget, free=free, safeguard=safeguard)
-
-    def _select(
-        self,
-        budget: SizeBytes,
-        *,
-        free: AbstractSet[FileId] = frozenset(),
-        safeguard: bool = True,
-    ) -> CacheSelection:
-        history = self._history
-        entries = history.candidates()
-        if not entries or budget <= 0:
-            return _empty_selection()
-
-        sizes = self._sizes
-        adj = self._adj_size
-        n = len(entries)
-        ids = [e.eid for e in entries]
-        pos = {eid: k for k, eid in enumerate(ids)}
-        bundles = tuple(e.bundle for e in entries)
-        values = tuple(e.value for e in entries)
-        base_adj, base_real = self._base_adj, self._base_real
-        rem_adj = [base_adj[eid] for eid in ids]
-        rem_real = [base_real[eid] for eid in ids]
-        if free:
+            history = self._history
+            entries = history.candidates()
+            if not entries or budget <= 0:
+                return _empty_selection()
+            sizes = self._sizes
+            adj = self._adj_size
+            bundles = [e.bundle for e in entries]
+            values = [e.value for e in entries]
+            ids = [e.eid for e in entries]
+            base_adj, base_real = self._base_adj, self._base_real
+            rem_adj = [base_adj[eid] for eid in ids]
+            if _STALE in rem_adj:
+                for k, eid in enumerate(ids):
+                    if rem_adj[k] == _STALE:
+                        rem_adj[k] = self._refresh_adj(eid)
+            rem_real = [base_real[eid] for eid in ids]
+            index = history.candidate_index()
+            pos = dict(zip(ids, range(len(ids))))
             affected: set[int] = set()
             # repro: allow[RPR003] only inserts into the `affected` set;
             # visit order cannot influence its final contents
             for f in free:
-                for eid in self._containing.get(f, ()):
-                    k = pos.get(eid)
-                    if k is not None:
-                        affected.add(k)
+                affected.update(map(pos.__getitem__, index.get(f, ())))
             # each iteration rewrites only its own rem_* slot; sorted so
             # the (order-insensitive) maintenance is also reproducible
             for k in sorted(affected):
@@ -193,74 +173,7 @@ class SelectionState:
                     r += sizes[f]
                 rem_adj[k] = a
                 rem_real[k] = r
-
-        inf = float("inf")
-        active = [True] * n
-        selected_files: set[FileId] = set(free)
-        remaining = float(budget)
-        chosen: list[int] = []
-
-        single: tuple[int, float] | None = None
-        if safeguard:
-            slack = budget + _EPS
-            for k in range(n):
-                if rem_real[k] <= slack and (single is None or values[k] > single[1]):
-                    single = (k, values[k])
-
-        score = [
-            values[k] / rem_adj[k] if rem_adj[k] > _EPS else inf for k in range(n)
-        ]
-        heap: list[tuple[float, int, float]] = [
-            (-score[k], k, score[k]) for k in range(n)
-        ]
-        heapq.heapify(heap)
-        containing = self._containing
-        # bytes charged outside ``free``: each file is charged once, when
-        # select_one first covers it, so this is the union's footprint
-        charged = 0
-
-        def select_one(k: int) -> None:
-            nonlocal remaining, charged
-            chosen.append(k)
-            active[k] = False
-            remaining -= rem_real[k]
-            for f in bundles[k]:
-                if f in selected_files:
-                    continue
-                selected_files.add(f)
-                af, sf = adj[f], sizes[f]
-                charged += sf
-                for eid in containing[f]:
-                    j = pos.get(eid)
-                    if j is None or not active[j]:
-                        continue
-                    rem_adj[j] -= af
-                    rem_real[j] -= sf
-                    new = values[j] / rem_adj[j] if rem_adj[j] > _EPS else inf
-                    score[j] = new
-                    heapq.heappush(heap, (-new, j, new))
-
-        while heap:
-            _neg, k, snap = heapq.heappop(heap)
-            if not active[k] or snap != score[k]:
-                continue  # stale or already decided
-            if rem_real[k] <= remaining + _EPS:
-                select_one(k)
-            else:
-                active[k] = False  # skipped: insufficient space (Step 2)
-
-        # Step 3, as in _finish: the greedy total is summed in selection
-        # order so the float compares exactly as on the rebuild path
-        total = sum(values[k] for k in chosen)
-        if single is not None and single[1] > total:
-            inst = FBCInstance.trusted(bundles, values, sizes, budget)
-            return _finish(
-                inst, chosen, safeguard=safeguard, free=frozenset(free), single=single
+            return _greedy(
+                bundles, values, rem_adj, rem_real, history.shared_files(entries),
+                index, pos, adj, sizes, free, budget, safeguard=safeguard,
             )
-        return CacheSelection(
-            selected=tuple(chosen),
-            bundles=tuple(bundles[k] for k in chosen),
-            files=frozenset().union(*[bundles[k].files for k in chosen]),
-            total_value=total,
-            used_bytes=charged,
-        )

@@ -184,25 +184,32 @@ def warm_planner(
 
 
 def _time_plans(
-    planner: OptFileBundlePlanner, types: Sequence[FileBundle], plans: int
+    planner: OptFileBundlePlanner,
+    sizes: dict[FileId, SizeBytes],
+    types: Sequence[FileBundle],
+    plans: int,
 ) -> float:
     """Seconds per plan over ``plans`` arrivals cycling through ``types``."""
     resident: set[FileId] = set()
+    used = 0
     t0 = time.perf_counter()
     for i in range(plans):
-        plan = planner.plan(types[i % len(types)], resident)
+        plan = planner.plan(types[i % len(types)], resident, used)
         planner.commit(plan)
         resident -= plan.evict
-        resident |= plan.load | plan.prefetch
+        added = plan.load | plan.prefetch
+        resident |= added
+        used += sum(sizes[f] for f in added) - sum(sizes[f] for f in plan.evict)
     return (time.perf_counter() - t0) / plans
 
 
 def warm_planner_timings(n: int, *, plans: int = PLANNER_PLANS) -> dict:
     """Incremental vs rebuild plan latency at ``n`` warm candidates."""
     results = {}
+    sizes = planner_workload(n)[0]
     for label, incremental in (("incremental", True), ("rebuild", False)):
         planner, types = warm_planner(n, incremental=incremental)
-        results[label] = _time_plans(planner, types, plans)
+        results[label] = _time_plans(planner, sizes, types, plans)
     return {
         "n_candidates": n,
         "plans": plans,

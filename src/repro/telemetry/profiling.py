@@ -22,7 +22,7 @@ def span(name: str):
     installed::
 
         with span("optbundle.plan"):
-            plan = planner.plan(bundle, resident)
+            plan = planner.plan(bundle, cache.residents(), cache.used)
     """
     return current_recorder().span(name)
 

@@ -1,6 +1,10 @@
 """Unit tests for the request history L(R)."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bundle import FileBundle
 from repro.core.history import RequestHistory, TruncationMode
@@ -172,3 +176,76 @@ class TestDecay:
         h.record(BC)
         vals = {e.bundle: e.value for e in h.candidates()}
         assert vals[A] == pytest.approx(0.5)
+
+
+# ---------------------------------------------------------------------- #
+# the candidate index against a brute-force recompute
+
+_POOL = [f"p{i}" for i in range(5)]  # small, so candidates overlap
+_files = st.sampled_from(_POOL)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("record"), st.frozensets(_files, min_size=1, max_size=3)),
+        st.tuples(st.just("load"), _files),
+        st.tuples(st.just("evict"), _files),
+        st.tuples(st.just("sync"), st.frozensets(_files)),
+        st.tuples(st.just("roundtrip"), st.none()),
+    ),
+    max_size=60,
+)
+
+
+def _check_index(h, resident):
+    entries = h.entries()
+    for e in entries:
+        assert e.missing == len(e.bundle.files - resident)
+    if h.mode is TruncationMode.CACHE_SUPPORTED:
+        want = [e for e in entries if e.bundle.issubset(resident)]
+        assert h.candidates() == want
+    elif h.mode is TruncationMode.FULL:
+        assert h.candidates() == entries
+    else:
+        assert [e.bundle for e in h.candidates()] == list(h._window_counts)
+    cands = h.candidates()
+    holders: dict = {}
+    for e in cands:
+        for f in e.bundle:
+            holders.setdefault(f, set()).add(e.eid)
+    assert {f: set(d) for f, d in h._holders.items()} == holders
+    for e, shared in zip(cands, h.shared_files(cands)):
+        assert shared == tuple(f for f in e.bundle if len(holders[f]) > 1)
+
+
+@pytest.mark.parametrize(
+    "mode,window",
+    [
+        (TruncationMode.FULL, None),
+        (TruncationMode.WINDOW, 7),
+        (TruncationMode.CACHE_SUPPORTED, None),
+    ],
+)
+@given(ops=_ops)
+@settings(max_examples=100, deadline=None)
+def test_candidate_index_matches_bruteforce(mode, window, ops):
+    """Any interleaving of arrivals, residency changes, syncs and
+    checkpoint round-trips leaves the candidate index, the shared-file
+    tuples and the missing counts equal to a recompute from scratch."""
+    h = RequestHistory(mode, window=window)
+    resident: set = set()
+    for op, arg in ops:
+        if op == "record":
+            h.record(FileBundle(arg))
+        elif op == "load":
+            h.on_file_loaded(arg)
+            resident.add(arg)
+        elif op == "evict":
+            h.on_file_evicted(arg)
+            resident.discard(arg)
+        elif op == "sync":
+            h.sync_resident(arg)
+            resident = set(arg)
+        else:
+            state = json.dumps(h.export_state())
+            h = RequestHistory.restore(json.loads(state))
+            assert json.dumps(h.export_state()) == state
+        _check_index(h, resident)

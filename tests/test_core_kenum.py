@@ -86,3 +86,42 @@ def test_k2_matches_exact_on_small_instances():
         ):
             wins += 1
     assert wins >= 13  # near-always optimal at this scale
+
+
+def test_results_unchanged_on_theory_instances():
+    """Seeded completions are pinned, so any change to the greedy kernel
+    that alters a selection is caught.
+
+    Digest of the k=1, k=2 and refined selections over the quick scale's
+    150 Theorem 4.1 instances.
+    """
+    import hashlib
+
+    from repro.experiments.theory_bounds import random_instance
+    from repro.utils.rng import derive_rng
+
+    rng = derive_rng(20040613, "thm41")
+    digest = hashlib.sha256()
+    for _ in range(150):
+        i = random_instance(
+            rng,
+            n_requests=int(rng.integers(5, 13)),
+            n_files=int(rng.integers(6, 16)),
+            budget_fraction=float(rng.uniform(0.2, 0.7)),
+        )
+        for sel in (
+            opt_cache_select_enum(i, k=1),
+            opt_cache_select_enum(i, k=2),
+            opt_cache_select(i),
+        ):
+            key = (
+                sel.selected,
+                sel.total_value,
+                sel.used_bytes,
+                sel.single_fallback,
+                sorted(sel.files),
+            )
+            digest.update(repr(key).encode())
+    assert digest.hexdigest() == (
+        "0c282520594f6d1c75a7d61ee0752264e2696ce596ff8ee6a96dbe317b85e4ec"
+    )

@@ -14,6 +14,11 @@ from repro.errors import CacheCapacityError, ConfigError
 SIZES = {f"f{i}": 10 for i in range(10)}
 
 
+def used(resident, sizes=SIZES):
+    """The bytes ``resident`` occupies, as ``CacheState.used`` keeps them."""
+    return sum(sizes[f] for f in resident)
+
+
 def apply(plan, resident):
     resident -= plan.evict
     resident |= plan.load | plan.prefetch
@@ -27,20 +32,20 @@ class TestPlannerBasics:
 
     def test_cold_start_loads_all(self):
         p = OptFileBundlePlanner(100, SIZES)
-        plan = p.plan(FileBundle(["f0", "f1"]), set())
+        plan = p.plan(FileBundle(["f0", "f1"]), set(), 0)
         assert plan.load == {"f0", "f1"}
         assert plan.evict == frozenset()
         assert not plan.request_hit
 
     def test_hit_detection(self):
         p = OptFileBundlePlanner(100, SIZES)
-        plan = p.plan(FileBundle(["f0"]), {"f0"})
+        plan = p.plan(FileBundle(["f0"]), {"f0"}, 10)
         assert plan.request_hit and plan.load == frozenset()
 
     def test_oversized_bundle_rejected(self):
         p = OptFileBundlePlanner(25, SIZES)
         with pytest.raises(CacheCapacityError):
-            p.plan(FileBundle(["f0", "f1", "f2"]), set())
+            p.plan(FileBundle(["f0", "f1", "f2"]), set(), 0)
 
     def test_keep_always_fits_capacity(self):
         p = OptFileBundlePlanner(35, SIZES)
@@ -53,7 +58,7 @@ class TestPlannerBasics:
             FileBundle(["f4"]),
         ]
         for b in bundles * 3:
-            plan = p.plan(b, resident)
+            plan = p.plan(b, resident, used(resident))
             resident = apply(plan, resident)
             p.commit(plan)
             assert sum(SIZES[f] for f in plan.keep) <= 35
@@ -72,7 +77,7 @@ class TestPlannerBasics:
             FileBundle(["f1", "f2"]),
         ]
         for b in seq * 4:
-            plan = p.plan(b, resident)
+            plan = p.plan(b, resident, used(resident))
             resident = apply(plan, resident)
             p.commit(plan)
             assert sum(SIZES[f] for f in resident) <= 30
@@ -82,7 +87,7 @@ class TestHistoryIntegration:
     def test_commit_records_history(self):
         p = OptFileBundlePlanner(100, SIZES)
         b = FileBundle(["f0"])
-        plan = p.plan(b, set())
+        plan = p.plan(b, set(), 0)
         p.commit(plan)
         assert p.history.value_of(b) == 1.0
 
@@ -91,7 +96,7 @@ class TestHistoryIntegration:
         b = FileBundle(["f0"])
         resident: set = set()
         for _ in range(3):
-            plan = p.plan(b, resident)
+            plan = p.plan(b, resident, used(resident))
             resident = apply(plan, resident)
             p.commit(plan)
         assert p.history.value_of(b) == 3.0
@@ -102,11 +107,11 @@ class TestHistoryIntegration:
         resident: set = set()
         # Make hot popular.
         for _ in range(5):
-            plan = p.plan(hot, resident)
+            plan = p.plan(hot, resident, used(resident))
             resident = apply(plan, resident)
             p.commit(plan)
         # A one-off request forces a replacement decision.
-        plan = p.plan(FileBundle(["f5"]), resident)
+        plan = p.plan(FileBundle(["f5"]), resident, used(resident))
         assert "f0" not in plan.evict and "f1" not in plan.evict
 
     def test_score_prefers_popular_small(self):
@@ -114,7 +119,7 @@ class TestHistoryIntegration:
         hot, cold = FileBundle(["f0"]), FileBundle(["f1"])
         resident: set = set()
         for _ in range(4):
-            plan = p.plan(hot, resident)
+            plan = p.plan(hot, resident, used(resident))
             resident = apply(plan, resident)
             p.commit(plan)
         assert p.score(hot) > p.score(cold)
@@ -127,7 +132,7 @@ class TestHistoryIntegration:
 class TestEvictionModes:
     def _warm(self, p, resident):
         for b in (FileBundle(["f0"]), FileBundle(["f1"]), FileBundle(["f2"])):
-            plan = p.plan(b, resident)
+            plan = p.plan(b, resident, used(resident))
             resident = apply(plan, resident)
             p.commit(plan)
         return resident
@@ -135,13 +140,13 @@ class TestEvictionModes:
     def test_lazy_keeps_unselected_files_when_room(self):
         p = OptFileBundlePlanner(100, SIZES)
         resident = self._warm(p, set())
-        plan = p.plan(FileBundle(["f3"]), resident)
+        plan = p.plan(FileBundle(["f3"]), resident, used(resident))
         assert plan.evict == frozenset()  # plenty of room: nothing evicted
 
     def test_eager_evicts_everything_unselected(self):
         p = OptFileBundlePlanner(100, SIZES, eager_evict=True)
         resident = self._warm(p, set())
-        plan = p.plan(FileBundle(["f3"]), resident)
+        plan = p.plan(FileBundle(["f3"]), resident, used(resident))
         # Everything kept must be in F(Opt) | bundle.
         assert plan.keep >= plan.bundle.files
         assert (resident - plan.evict) <= plan.keep
@@ -149,7 +154,7 @@ class TestEvictionModes:
     def test_lazy_evicts_only_enough(self):
         p = OptFileBundlePlanner(30, SIZES)
         resident = self._warm(p, set())  # f0,f1,f2 resident (30/30)
-        plan = p.plan(FileBundle(["f3"]), resident)
+        plan = p.plan(FileBundle(["f3"]), resident, used(resident))
         assert len(plan.evict) == 1  # exactly one 10-byte victim needed
 
 
@@ -161,21 +166,21 @@ class TestFullHistoryPrefetch:
         hot = FileBundle(["f0", "f1"])
         resident: set = set()
         for _ in range(5):
-            plan = p.plan(hot, resident)
+            plan = p.plan(hot, resident, used(resident))
             resident = apply(plan, resident)
             p.commit(plan)
         # Evict hot's files behind the planner's back, then request another
         # bundle: full history may prefetch the popular files back.
         p.observe_eviction("f0")
         p.observe_eviction("f1")
-        plan = p.plan(FileBundle(["f2"]), {"f2"})
+        plan = p.plan(FileBundle(["f2"]), {"f2"}, 10)
         assert plan.prefetch <= {"f0", "f1"}
 
     def test_cache_truncation_never_prefetches(self):
         p = OptFileBundlePlanner(40, SIZES)
         resident: set = set()
         for b in (FileBundle(["f0"]), FileBundle(["f1"]), FileBundle(["f2"])):
-            plan = p.plan(b, resident)
+            plan = p.plan(b, resident, used(resident))
             resident = apply(plan, resident)
             p.commit(plan)
             assert plan.prefetch == frozenset()
@@ -192,9 +197,9 @@ class _AlwaysSelect(OptFileBundlePlanner):
         return False
 
 
-def _plan_or_error(planner, bundle, resident, pinned):
+def _plan_or_error(planner, bundle, resident, sizes, pinned):
     try:
-        return planner.plan(bundle, resident, pinned=pinned)
+        return planner.plan(bundle, resident, used(resident, sizes), pinned=pinned)
     except CacheCapacityError as exc:
         return type(exc)
 
@@ -236,8 +241,8 @@ def _replay_against_forced(seed, capacity_div, steps, **kwargs):
             continue
         bundle = types[rng.randrange(len(types))]
         pinned = {f for f in sorted(resident) if rng.random() < 0.15}
-        got = _plan_or_error(fast, bundle, set(resident), pinned)
-        want = _plan_or_error(forced, bundle, set(resident), pinned)
+        got = _plan_or_error(fast, bundle, set(resident), sizes, pinned)
+        want = _plan_or_error(forced, bundle, set(resident), sizes, pinned)
         assert _decision(got) == _decision(want)
         if isinstance(got, type):
             continue
@@ -282,7 +287,7 @@ class TestInertPlanSkip:
         p = OptFileBundlePlanner(100, SIZES, **kwargs)
         resident: set = set()
         for b in (FileBundle(["f0"]), FileBundle(["f1"]), FileBundle(["f0"])):
-            plan = p.plan(b, resident)
+            plan = p.plan(b, resident, used(resident))
             assert plan.selection is not None
             resident = apply(plan, resident)
             p.commit(plan)
@@ -292,21 +297,22 @@ class TestInertPlanSkip:
         p = OptFileBundlePlanner(100, SIZES)
         resident: set = set()
         for b in (FileBundle(["f0"]), FileBundle(["f1"])):
-            plan = p.plan(b, resident)
+            plan = p.plan(b, resident, used(resident))
             resident = apply(plan, resident)
             p.commit(plan)
         # a hit that fits: inert while the planner's view is current
-        assert p.plan(FileBundle(["f0"]), resident).selection is None
+        assert p.plan(FileBundle(["f0"]), resident, used(resident)).selection is None
         # f1 leaves the cache unannounced; the history still lists it
         resident.discard("f1")
-        assert p.plan(FileBundle(["f0"]), resident).selection is not None
+        assert p.plan(FileBundle(["f0"]), resident, used(resident)).selection is not None
 
     def test_plan_that_needs_room_always_selects(self):
         p = OptFileBundlePlanner(20, SIZES)
         resident: set = set()
         for b in (FileBundle(["f0"]), FileBundle(["f1"])):
-            plan = p.plan(b, resident)
+            plan = p.plan(b, resident, used(resident))
             resident = apply(plan, resident)
             p.commit(plan)
-        plan = p.plan(FileBundle(["f2"]), resident)  # 20 used + 10 > 20
+        # 20 used + 10 > 20
+        plan = p.plan(FileBundle(["f2"]), resident, used(resident))
         assert plan.selection is not None and len(plan.evict) == 1

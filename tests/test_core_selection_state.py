@@ -32,44 +32,65 @@ def _workload(seed=7, n_files=40, n_types=30, max_files=4):
     return rng, sizes, types
 
 
+_MODES = [
+    (TruncationMode.CACHE_SUPPORTED, None, 1.0),
+    (TruncationMode.FULL, None, 1.0),
+    (TruncationMode.WINDOW, 13, 1.0),
+    (TruncationMode.CACHE_SUPPORTED, None, 0.9),
+    (TruncationMode.FULL, None, 0.85),
+    (TruncationMode.WINDOW, 7, 0.95),
+]
+
+
+def _replay_both(truncation, window, decay, **workload):
+    """Feed an incremental and a rebuilding planner the same 400 arrivals,
+    asserting equal plans; returns how many selections saw shared files."""
+    rng, sizes, types = _workload(**workload)
+    capacity = max(sum(sizes.values()) // 3, *(b.size_under(sizes) for b in types))
+    kwargs = dict(truncation=truncation, window=window, decay=decay)
+    inc = OptFileBundlePlanner(capacity, sizes, incremental=True, **kwargs)
+    reb = OptFileBundlePlanner(capacity, sizes, incremental=False, **kwargs)
+    assert inc.incremental and not reb.incremental
+
+    resident: set = set()
+    shared_walks = 0
+    for step in range(400):
+        bundle = types[rng.randrange(len(types))]
+        used = sum(sizes[f] for f in resident)
+        pa = inc.plan(bundle, resident, used)
+        pb = reb.plan(bundle, resident, used)
+        assert pa == pb, f"plans diverge at step {step}"
+        if pa.selection is not None:
+            cands = inc.history.candidates()
+            shared_walks += any(inc.history.shared_files(cands))
+        inc.commit(pa)
+        reb.commit(pb)
+        resident -= pa.evict
+        resident |= pa.load | pa.prefetch
+        if step % 7 == 6 and resident:
+            # a grid fault evicts a file neither planner chose
+            victim = sorted(resident)[rng.randrange(len(resident))]
+            resident.discard(victim)
+            inc.observe_eviction(victim)
+            reb.observe_eviction(victim)
+    return shared_walks
+
+
 class TestDifferential:
     """Incremental planner ≡ rebuild planner, plan for plan."""
 
-    @pytest.mark.parametrize(
-        "truncation,window,decay",
-        [
-            (TruncationMode.CACHE_SUPPORTED, None, 1.0),
-            (TruncationMode.FULL, None, 1.0),
-            (TruncationMode.WINDOW, 13, 1.0),
-            (TruncationMode.CACHE_SUPPORTED, None, 0.9),
-            (TruncationMode.FULL, None, 0.85),
-            (TruncationMode.WINDOW, 7, 0.95),
-        ],
-    )
+    @pytest.mark.parametrize("truncation,window,decay", _MODES)
     def test_plans_identical(self, truncation, window, decay):
-        rng, sizes, types = _workload()
-        capacity = sum(sizes.values()) // 3
-        kwargs = dict(truncation=truncation, window=window, decay=decay)
-        inc = OptFileBundlePlanner(capacity, sizes, incremental=True, **kwargs)
-        reb = OptFileBundlePlanner(capacity, sizes, incremental=False, **kwargs)
-        assert inc.incremental and not reb.incremental
+        _replay_both(truncation, window, decay)
 
-        resident: set = set()
-        for step in range(400):
-            bundle = types[rng.randrange(len(types))]
-            pa = inc.plan(bundle, resident)
-            pb = reb.plan(bundle, resident)
-            assert pa == pb, f"plans diverge at step {step}"
-            inc.commit(pa)
-            reb.commit(pb)
-            resident -= pa.evict
-            resident |= pa.load | pa.prefetch
-            if step % 7 == 6 and resident:
-                # a grid fault evicts a file neither planner chose
-                victim = sorted(resident)[rng.randrange(len(resident))]
-                resident.discard(victim)
-                inc.observe_eviction(victim)
-                reb.observe_eviction(victim)
+    @pytest.mark.parametrize("truncation,window,decay", _MODES)
+    def test_plans_identical_high_overlap(self, truncation, window, decay):
+        # a small file pool: most files are shared between candidates, so
+        # nearly every selection propagates through shared files
+        shared_walks = _replay_both(
+            truncation, window, decay, n_files=10, max_files=5
+        )
+        assert shared_walks > 200
 
     def test_select_matches_opt_cache_select(self):
         """SelectionState.select ≡ opt_cache_select on a fresh instance."""
@@ -135,7 +156,7 @@ class TestNoRebuildOnWarmPath:
 
         monkeypatch.setattr(ofb.FBCInstance, "from_history", boom)
         monkeypatch.setattr(ofb, "opt_cache_select", boom)
-        plan = planner.plan(types[0], set())
+        plan = planner.plan(types[0], set(), 0)
         assert plan.keep  # the selection still ran (via SelectionState)
 
     def test_listener_attaches_to_warm_history(self):

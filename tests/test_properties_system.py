@@ -121,7 +121,7 @@ def test_planner_invariants_over_random_sequences(data, capacity):
     resident: set = set()
     for bundle in seq:
         try:
-            plan = planner.plan(bundle, resident)
+            plan = planner.plan(bundle, resident, sum(sizes[f] for f in resident))
         except CacheCapacityError:
             assert bundle.size_under(sizes) > capacity
             continue
