@@ -7,11 +7,15 @@ evidence could be lost; in the buffered default, recovery instead drops
 any frame whose trace evidence did not survive).  Frame layout::
 
     +----------------+----------------+------------------------+
-    | length (u32 BE)| crc32 (u32 BE) | payload (canonical JSON)|
+    | length (u32 BE)| crc32 (u32 BE) | payload (compact JSON) |
     +----------------+----------------+------------------------+
 
 inside segment files ``wal-NNNNNN.log`` that each begin with an 8-byte
-magic.  A crash can only tear the *final* frame of the *final* segment
+magic.  This module owns the framing and the payload decoding; the
+payload's one encoder is :func:`repro.durability.runner._encode_frame`,
+and :meth:`JournalWriter.append` takes its bytes.
+
+A crash can only tear the *final* frame of the *final* segment
 (appends are sequential), so the reader silently discards a short tail
 there; a full-length frame whose CRC32 mismatches, or a torn tail in an
 interior segment, is genuine corruption and raises
@@ -52,12 +56,6 @@ _SEGMENT_RE = re.compile(r"^wal-(\d{6})\.log$")
 #: rotate segments beyond this many payload bytes (checkpoints usually
 #: truncate long before this is reached)
 DEFAULT_SEGMENT_BYTES = 8 * 1024 * 1024
-
-
-def _encode_payload(payload: dict[str, Any]) -> bytes:
-    # compact, insertion-ordered JSON: the CRC covers the raw bytes as
-    # written, so no canonical key order is required
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
 
 def _segment_name(index: int) -> str:
@@ -151,25 +149,22 @@ class JournalWriter:
         self._segment_path = path
         self._segment_bytes = len(JOURNAL_MAGIC)
 
-    def append(
-        self, payload: dict[str, Any], *, encoded: bytes | None = None
-    ) -> None:
-        """Append one frame (buffered; flushed + fsync'd in ``always`` mode).
+    def append(self, data: bytes) -> None:
+        """Append one frame holding the encoded payload ``data``.
 
-        In ``rotate`` mode frames sit in the writer's buffer until it
-        fills, the segment rotates, :meth:`flush` is called, or the
-        writer closes.  Losing buffered frames to a kill is safe:
-        recovery re-executes every unacknowledged job from the newest
-        checkpoint, and drops any surviving frame whose trace evidence
-        was lost with the other buffer.
-
-        ``encoded`` lets a hot caller supply the serialized payload
-        bytes itself; it must equal ``_encode_payload(payload)`` (the
-        CRC covers whatever bytes are given).
+        The writer frames bytes and never encodes them: the frame's one
+        encoder is :func:`repro.durability.runner._encode_frame`, and the
+        CRC covers exactly the bytes given.  Appends are buffered (flushed
+        and fsync'd in ``always`` mode): in ``rotate`` mode frames sit in
+        the writer's buffer until it fills, the segment rotates,
+        :meth:`flush` is called, or the writer closes.  Losing buffered
+        frames to a kill is safe: recovery re-executes every
+        unacknowledged job from the newest checkpoint, and drops any
+        surviving frame whose trace evidence was lost with the other
+        buffer.
         """
         if self._fh is None:
             raise JournalError("journal writer is closed")
-        data = _encode_payload(payload) if encoded is None else encoded
         frame = _HEADER.pack(len(data), zlib.crc32(data)) + data
         self._fh.write(frame)
         if self._fsync_mode == "always":

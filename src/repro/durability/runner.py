@@ -16,6 +16,16 @@ Two drivers run jobs durably — the batch runner (:func:`run_durable` /
         checkpoints/      versioned state snapshots (+ journal truncation)
         result.json       batch only: final metrics (atomic, on completion)
 
+Each record has one codec, owned by one module: the workload and
+arrivals lines by :mod:`repro.workload.trace`; the trace lines by
+:func:`repro.telemetry.events.encode_event`, read back through the one
+line reader behind :func:`~repro.telemetry.events.validate_trace_file`
+and :func:`~repro.telemetry.forensics.iter_trace`; the journal payload
+by :func:`_encode_frame` here, framed and decoded by
+:mod:`repro.durability.journal`; checkpoints by
+:mod:`repro.durability.checkpoint`; the manifest by
+:func:`_config_to_manifest` here.
+
 Both commit every job through one :class:`JournaledCore`, so the commit
 order lives in one place: **trace first, journal second**, a job's
 telemetry lines are written before its journal frame (the service
@@ -210,10 +220,10 @@ class _TeeSink(TraceSink):
 
 
 def _encode_frame(frame: dict[str, int]) -> bytes:
-    """Hand-rolled serialization of the all-int journal frame.
+    """The journal frame's one encoder (all-int payload, hand-rolled).
 
-    Must match ``_encode_payload(frame)`` byte-for-byte (~6x faster than
-    ``json.dumps`` on the per-job path).
+    Byte-identical to ``json.dumps(frame, separators=(",", ":"))`` and
+    ~6x faster on the per-job path.
     """
     return (
         f'{{"job":{frame["job"]},"request_id":{frame["request_id"]},'
@@ -509,7 +519,7 @@ class JournaledCore:
             }
             if self.replayed < len(self._tail):
                 self._check(frame, captured)
-            self.journal.append(frame, encoded=_encode_frame(frame))
+            self.journal.append(_encode_frame(frame))
             if self._crash is not None:
                 self._crash.tick(torn_hook=self._tear)
             if (job_index + 1) % self._every == 0:

@@ -17,6 +17,14 @@ from the workload file::
         journal/          write-ahead log, one frame per serviced job
         checkpoints/      versioned state snapshots
 
+The arrivals record is a workload trace, so its codec is the workload
+file's: :func:`~repro.workload.trace.encode_header` and
+:func:`~repro.workload.trace.encode_request_line` write it and
+:meth:`~repro.workload.trace.Trace.load_lines` reads it (after
+:func:`_load_arrivals` drops a torn final line).  The manifest is the
+runner's plus the fault spec (:func:`_service_manifest`); every other
+record keeps the codec :mod:`repro.durability.runner` names for it.
+
 Per-job commit order: the job's **arrival line is flushed first**, then
 the pipeline writes its telemetry lines and its journal frame — so under
 a SIGKILL the arrivals record is always at least as durable as the
@@ -35,6 +43,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import IO, Any
 
@@ -61,7 +70,7 @@ from repro.sim.coordinator import JobOutcome
 from repro.sim.simulator import SimulationConfig
 from repro.telemetry.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
 from repro.telemetry.tracing import RequestTracer, request_id_for_job
-from repro.workload.trace import Trace
+from repro.workload.trace import Trace, encode_header, encode_request_line
 
 __all__ = ["CoordinatorState", "JobResult"]
 
@@ -140,19 +149,7 @@ def _simulation_config(config: ServiceConfig) -> SimulationConfig:
 def _service_manifest(config: ServiceConfig) -> dict[str, Any]:
     doc = _config_to_manifest(_simulation_config(config), config.durability)
     doc["kind"] = "service"
-    doc["fault"] = (
-        None
-        if config.fault is None
-        else {
-            "seed": config.fault.seed,
-            "drive_failure_rate": config.fault.drive_failure_rate,
-            "transfer_failure_rate": config.fault.transfer_failure_rate,
-            "latency_spike_rate": config.fault.latency_spike_rate,
-            "latency_spike_factor": config.fault.latency_spike_factor,
-            "site_downtime_rate": config.fault.site_downtime_rate,
-            "mean_downtime": config.fault.mean_downtime,
-        }
-    )
+    doc["fault"] = None if config.fault is None else asdict(config.fault)
     return doc
 
 
@@ -286,14 +283,9 @@ class CoordinatorState:
             run_dir / "manifest.json", _service_manifest(config), fsync=sync
         )
         state = cls(config, workload, resume=None)
-        header = {
-            "type": "header",
-            "version": 1,
-            "meta": {"kind": "service-arrivals"},
-            "files": dict(workload.catalog.items()),
-        }
+        header = encode_header({"kind": "service-arrivals"}, workload.catalog)
         fh = open(run_dir / "arrivals.jsonl", "wb")
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        fh.write(header.encode("utf-8") + b"\n")
         fh.flush()
         if sync:
             os.fsync(fh.fileno())
@@ -406,16 +398,7 @@ class CoordinatorState:
     def _append_arrival(self, request: Request) -> None:
         if self._arrivals is None:
             raise ServiceError("arrivals record is not open")
-        line = json.dumps(
-            {
-                "files": sorted(request.bundle.files),
-                "id": request.request_id,
-                "priority": request.priority,
-                "t": request.arrival_time,
-                "type": "job",
-            }
-        )
-        self._arrivals.write(line.encode("utf-8") + b"\n")
+        self._arrivals.write(encode_request_line(request).encode("utf-8") + b"\n")
         # the arrival must be at least as durable as the decision that
         # follows it: it is the replay input recovery re-executes
         self._arrivals.flush()

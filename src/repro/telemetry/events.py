@@ -32,7 +32,7 @@ import warnings
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.errors import TraceTruncatedWarning, TraceValidationError
 
@@ -55,7 +55,6 @@ __all__ = [
     "event_from_dict",
     "validate_event",
     "validate_trace_file",
-    "warn_torn_tail",
 ]
 
 
@@ -451,12 +450,13 @@ def validate_event(record: Mapping[str, Any]) -> None:
         )
 
 
-def warn_torn_tail(path: Any, lineno: int, byte_offset: int, reason: str) -> None:
+def _warn_torn_tail(path: Any, lineno: int, byte_offset: int, reason: str) -> None:
     """Issue the standard :class:`TraceTruncatedWarning` for a torn tail.
 
-    Shared by :func:`validate_trace_file` and the forensics trace loader
-    so both report the same recovery hint: the byte offset of the intact
-    prefix, i.e. what the file should be truncated to.
+    The recovery hint is the byte offset of the intact prefix, i.e. what
+    the file should be truncated to.  ``stacklevel`` points past
+    :func:`_trace_records` and the reader driving it at that reader's
+    caller.
     """
     warnings.warn(
         TraceTruncatedWarning(
@@ -466,36 +466,45 @@ def warn_torn_tail(path: Any, lineno: int, byte_offset: int, reason: str) -> Non
             byte_offset=byte_offset,
             lineno=lineno,
         ),
-        stacklevel=3,
+        stacklevel=4,
     )
 
 
-def validate_trace_file(path: str | Path) -> int:
-    """Validate every line of a JSONL trace; return the event count.
+def _trace_records(
+    path: str | Path, validate: bool
+) -> Iterator[tuple[int, dict[str, Any]]]:
+    """The one line reader of a JSONL trace: ``(lineno, record)`` pairs.
 
-    Also checks that ``seq`` is a contiguous 0-based sequence, which any
-    single-recorder trace must satisfy.  On failure raises
-    :class:`~repro.errors.TraceValidationError` locating the first invalid
-    record: the message (and the exception's ``lineno``/``field``
-    attributes) carry the 1-based line number and the offending field.
-
-    A final line that lacks its trailing newline and does not parse is
-    the signature of a crash-torn write, not of corruption: it is
-    reported as a recoverable :class:`~repro.errors.TraceTruncatedWarning`
-    (carrying the byte offset of the intact prefix) and excluded from the
-    count, so post-crash traces remain analyzable.
+    Holds one line in memory at a time.  With ``validate`` every record
+    is checked against :data:`EVENT_SCHEMA` and ``seq`` must be a
+    contiguous 0-based sequence; the first bad line raises
+    :class:`~repro.errors.TraceValidationError` carrying its 1-based
+    ``lineno`` and offending ``field``.  A final line that lacks its
+    trailing newline and does not decode is the signature of a
+    crash-torn write, not of corruption: iteration stops there with a
+    :class:`~repro.errors.TraceTruncatedWarning` carrying the byte length
+    of the intact prefix.  :func:`validate_trace_file` counts these
+    records; :func:`repro.telemetry.forensics.iter_trace` builds events
+    from them.
     """
-    count = 0
+    expected_seq = 0
     offset = 0
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise TraceValidationError(
+            f"cannot read trace {path}: {exc.strerror or exc}",
+            path=str(path),
+        ) from None
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             has_newline = raw.endswith(b"\n")
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:
                 if not has_newline:
-                    warn_torn_tail(path, lineno, offset, f"bad UTF-8: {exc}")
-                    return count
+                    _warn_torn_tail(path, lineno, offset, f"bad UTF-8: {exc}")
+                    return
                 raise TraceValidationError(
                     f"{path}: line {lineno}: not valid UTF-8: {exc}",
                     path=str(path),
@@ -508,31 +517,53 @@ def validate_trace_file(path: str | Path) -> int:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 if not has_newline:
-                    warn_torn_tail(path, lineno, offset, f"not valid JSON: {exc}")
-                    return count
+                    _warn_torn_tail(path, lineno, offset, f"not valid JSON: {exc}")
+                    return
                 raise TraceValidationError(
                     f"{path}: line {lineno}: not valid JSON: {exc}",
                     path=str(path),
                     lineno=lineno,
                 ) from None
-            try:
-                validate_event(record)
-            except TraceValidationError as exc:
-                field = f" (field {exc.field!r})" if exc.field else ""
-                raise TraceValidationError(
-                    f"{path}: line {lineno}{field}: {exc}",
-                    path=str(path),
-                    lineno=lineno,
-                    field=exc.field,
-                ) from None
-            if record["seq"] != count:
-                raise TraceValidationError(
-                    f"{path}: line {lineno} (field 'seq'): seq {record['seq']} "
-                    f"out of order (expected {count})",
-                    path=str(path),
-                    lineno=lineno,
-                    field="seq",
-                ) from None
-            count += 1
+            if validate:
+                try:
+                    validate_event(record)
+                except TraceValidationError as exc:
+                    field = f" (field {exc.field!r})" if exc.field else ""
+                    raise TraceValidationError(
+                        f"{path}: line {lineno}{field}: {exc}",
+                        path=str(path),
+                        lineno=lineno,
+                        field=exc.field,
+                    ) from None
+                if record["seq"] != expected_seq:
+                    raise TraceValidationError(
+                        f"{path}: line {lineno} (field 'seq'): seq "
+                        f"{record['seq']} out of order (expected {expected_seq})",
+                        path=str(path),
+                        lineno=lineno,
+                        field="seq",
+                    )
+                expected_seq += 1
             offset += len(raw)
+            yield lineno, record
+
+
+def validate_trace_file(path: str | Path) -> int:
+    """Validate every line of a JSONL trace; return the event count.
+
+    Also checks that ``seq`` is a contiguous 0-based sequence, which any
+    single-recorder trace must satisfy.  On failure raises
+    :class:`~repro.errors.TraceValidationError` locating the first invalid
+    record: the message (and the exception's ``lineno``/``field``
+    attributes) carry the 1-based line number and the offending field.
+    An unreadable file raises it too.
+
+    A crash-torn final line is reported as a recoverable
+    :class:`~repro.errors.TraceTruncatedWarning` (carrying the byte
+    offset of the intact prefix) and excluded from the count, so
+    post-crash traces remain analyzable.
+    """
+    count = 0
+    for _ in _trace_records(path, validate=True):
+        count += 1
     return count

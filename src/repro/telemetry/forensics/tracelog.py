@@ -16,7 +16,6 @@ runs; each run restarts its job counter, so a ``JobArrived`` with
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -28,8 +27,7 @@ from repro.telemetry.events import (
     JobArrived,
     TraceEvent,
     WindowRolled,
-    validate_event,
-    warn_torn_tail,
+    _trace_records,
 )
 
 __all__ = ["iter_trace", "TraceLog", "JobWindow", "Segment"]
@@ -51,6 +49,12 @@ TIMED_EVENT_KINDS = frozenset(
     {"StageStarted", "StageRetried", "StageFailedOver", "StageCompleted"}
 )
 
+#: each event kind's class and constructor field names
+_CONSTRUCTORS = {
+    kind: (cls, tuple(f.name for f in fields(cls)))
+    for kind, cls in EVENT_TYPES.items()
+}
+
 
 def iter_trace(
     path: str | Path, *, validate: bool = True
@@ -58,87 +62,27 @@ def iter_trace(
     """Stream ``(seq, event)`` pairs from a JSONL trace file.
 
     Holds one line in memory at a time, so it scales to traces far larger
-    than RAM.  With ``validate`` (the default) every record is checked
-    against the event schema and a contiguous ``seq`` is enforced,
-    raising :class:`~repro.errors.TraceValidationError` on the first bad
-    line; ``validate=False`` trusts the file and only needs the ``kind``
+    than RAM.  Reads through the same line reader as
+    :func:`~repro.telemetry.events.validate_trace_file`, so it raises the
+    same :class:`~repro.errors.TraceValidationError` on a bad line and
+    stops at a crash-torn tail with the same
+    :class:`~repro.errors.TraceTruncatedWarning`.  ``validate=False``
+    skips the schema and ``seq`` checks and only needs the ``kind``
     lookup to type each event.
-
-    A final line without its trailing newline that fails to decode is a
-    crash-torn tail, not corruption: iteration stops there with a
-    recoverable :class:`~repro.errors.TraceTruncatedWarning` carrying the
-    byte offset of the intact prefix.
     """
-    expected_seq = 0
-    offset = 0
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise TraceValidationError(
-            f"cannot read trace {path}: {exc.strerror or exc}",
-            path=str(path),
-        ) from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            has_newline = raw.endswith(b"\n")
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                if not has_newline:
-                    warn_torn_tail(path, lineno, offset, f"bad UTF-8: {exc}")
-                    return
-                raise TraceValidationError(
-                    f"{path}: line {lineno}: not valid UTF-8: {exc}",
-                    path=str(path),
-                    lineno=lineno,
-                ) from None
-            if not line:
-                offset += len(raw)
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if not has_newline:
-                    warn_torn_tail(path, lineno, offset, f"not valid JSON: {exc}")
-                    return
-                raise TraceValidationError(
-                    f"{path}: line {lineno}: not valid JSON: {exc}",
-                    path=str(path),
-                    lineno=lineno,
-                ) from None
-            if validate:
-                try:
-                    validate_event(record)
-                except TraceValidationError as exc:
-                    field = f" (field {exc.field!r})" if exc.field else ""
-                    raise TraceValidationError(
-                        f"{path}: line {lineno}{field}: {exc}",
-                        path=str(path),
-                        lineno=lineno,
-                        field=exc.field,
-                    ) from None
-                if record["seq"] != expected_seq:
-                    raise TraceValidationError(
-                        f"{path}: line {lineno} (field 'seq'): seq "
-                        f"{record['seq']} out of order (expected {expected_seq})",
-                        path=str(path),
-                        lineno=lineno,
-                        field="seq",
-                    )
-                expected_seq += 1
-            try:
-                cls = EVENT_TYPES[record["kind"]]
-            except KeyError:
-                raise TraceValidationError(
-                    f"{path}: line {lineno}: unknown event kind "
-                    f"{record.get('kind')!r}",
-                    path=str(path),
-                    lineno=lineno,
-                    field="kind",
-                ) from None
-            event = cls(**{f.name: record[f.name] for f in fields(cls)})
-            offset += len(raw)
-            yield record.get("seq", lineno - 1), event
+    for lineno, record in _trace_records(path, validate):
+        try:
+            cls, names = _CONSTRUCTORS[record["kind"]]
+        except KeyError:
+            raise TraceValidationError(
+                f"{path}: line {lineno}: unknown event kind "
+                f"{record.get('kind')!r}",
+                path=str(path),
+                lineno=lineno,
+                field="kind",
+            ) from None
+        event = cls(**{name: record[name] for name in names})
+        yield record.get("seq", lineno - 1), event
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from repro.core.request import Request, RequestStream
 from repro.errors import TraceFormatError
 from repro.types import FileCatalog
 
-__all__ = ["Trace"]
+__all__ = ["Trace", "encode_header", "encode_request_line"]
 
 _FORMAT_VERSION = 1
 
@@ -74,26 +74,9 @@ class Trace:
             raise TraceFormatError(f"{path}: unwritable trace: {exc}") from None
 
     def dump_lines(self) -> Iterable[str]:
-        header = {
-            "type": "header",
-            "version": _FORMAT_VERSION,
-            "meta": self.meta,
-            "files": {fid: size for fid, size in self.catalog.items()},
-        }
-        yield json.dumps(header, sort_keys=True)
-        # keys listed in sorted order so insertion order == canonical
-        # order and per-line sort_keys work is skipped (dump is on the
-        # durable runner's setup path)
+        yield encode_header(self.meta, self.catalog)
         for req in self.stream:
-            yield json.dumps(
-                {
-                    "files": sorted(req.bundle.files),
-                    "id": req.request_id,
-                    "priority": req.priority,
-                    "t": req.arrival_time,
-                    "type": "job",
-                }
-            )
+            yield encode_request_line(req)
 
     @classmethod
     def load(cls, path: str | Path) -> "Trace":
@@ -143,6 +126,37 @@ class Trace:
             except (KeyError, ValueError, TypeError) as exc:
                 raise TraceFormatError(f"bad job record {rec!r}: {exc}") from exc
         return cls(catalog, stream, meta=dict(header.get("meta") or {}))
+
+
+def encode_header(meta: dict[str, Any], catalog: FileCatalog) -> str:
+    """The header line of a workload or arrivals trace (no newline)."""
+    return json.dumps(
+        {
+            "type": "header",
+            "version": _FORMAT_VERSION,
+            "meta": meta,
+            "files": dict(catalog.items()),
+        },
+        sort_keys=True,
+    )
+
+
+def encode_request_line(req: Request) -> str:
+    """One job line of a workload or arrivals trace (no newline).
+
+    Keys are listed in sorted order so insertion order is the canonical
+    order and per-line ``sort_keys`` work is skipped (this is on the
+    durable runner's setup path and the service's write path).
+    """
+    return json.dumps(
+        {
+            "files": sorted(req.bundle.files),
+            "id": req.request_id,
+            "priority": req.priority,
+            "t": req.arrival_time,
+            "type": "job",
+        }
+    )
 
 
 def _parse_json(line: str) -> dict[str, Any]:

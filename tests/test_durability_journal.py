@@ -64,30 +64,27 @@ def _frames(n, start=0):
     return [{"job": i, "trace_offset": i * 100} for i in range(start, start + n)]
 
 
+def _encoded(payload):
+    # the compact JSON the durable runner's frame encoder writes
+    return json.dumps(payload, separators=(",", ":")).encode()
+
+
 class TestJournal:
     def test_round_trip(self, tmp_path):
         d = tmp_path / "journal"
         with JournalWriter(d) as w:
             for payload in _frames(5):
-                w.append(payload)
+                w.append(_encoded(payload))
         frames, torn = read_journal_dir(d)
         assert not torn
         assert [f.payload for f in frames] == _frames(5)
         assert [f.job for f in frames] == list(range(5))
 
-    def test_append_encoded_fast_path_matches(self, tmp_path):
-        payload = {"job": 3, "trace_offset": 300}
-        encoded = json.dumps(payload, separators=(",", ":")).encode()
-        with JournalWriter(tmp_path / "j") as w:
-            w.append(payload, encoded=encoded)
-        frames, _ = read_journal_dir(tmp_path / "j")
-        assert frames[0].payload == payload
-
     def test_segment_rotation(self, tmp_path):
         d = tmp_path / "journal"
         with JournalWriter(d, max_segment_bytes=64) as w:
             for payload in _frames(10):
-                w.append(payload)
+                w.append(_encoded(payload))
         segments = sorted(p.name for p in d.iterdir())
         assert len(segments) > 1
         frames, torn = read_journal_dir(d)
@@ -97,7 +94,7 @@ class TestJournal:
     def test_bad_crc_rejected(self, tmp_path):
         d = tmp_path / "journal"
         with JournalWriter(d) as w:
-            w.append({"job": 0})
+            w.append(_encoded({"job": 0}))
         seg = next(iter(d.iterdir()))
         data = bytearray(seg.read_bytes())
         data[-1] ^= 0xFF  # flip a payload byte under an intact header
@@ -117,7 +114,7 @@ class TestJournal:
         d = tmp_path / "journal"
         with JournalWriter(d) as w:
             for payload in _frames(3):
-                w.append(payload)
+                w.append(_encoded(payload))
         seg = next(iter(d.iterdir()))
         seg.write_bytes(seg.read_bytes()[:-4])  # tear the last frame
         frames, torn = read_journal_dir(d)
@@ -128,7 +125,7 @@ class TestJournal:
         d = tmp_path / "journal"
         w = JournalWriter(d, max_segment_bytes=48)
         for payload in _frames(8):
-            w.append(payload)
+            w.append(_encoded(payload))
         w.close()
         segments = sorted(d.iterdir())
         assert len(segments) >= 2
@@ -152,9 +149,9 @@ class TestJournal:
         d = tmp_path / "journal"
         w = JournalWriter(d)
         for payload in _frames(4):
-            w.append(payload)
+            w.append(_encoded(payload))
         w.truncate_to_checkpoint()
-        w.append({"job": 99})
+        w.append(_encoded({"job": 99}))
         w.close()
         frames, torn = read_journal_dir(d)
         assert not torn
@@ -164,7 +161,7 @@ class TestJournal:
         w = JournalWriter(tmp_path / "j")
         w.close()
         with pytest.raises(JournalError):
-            w.append({"job": 0})
+            w.append(_encoded({"job": 0}))
 
     def test_invalid_config(self, tmp_path):
         with pytest.raises(JournalError):

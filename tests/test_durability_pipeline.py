@@ -10,6 +10,8 @@ followed by each driver's own resume.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from repro.core.history import TruncationMode
 from repro.durability import DurabilityConfig, resume_run, run_durable
 from repro.durability.checkpoint import latest_checkpoint, load_checkpoint
-from repro.durability.journal import _encode_payload, read_journal_dir
+from repro.durability.journal import read_journal_dir
 from repro.durability.runner import _encode_frame
 from repro.errors import InjectedCrashError
 from repro.faults.crash import CrashSpec
@@ -176,7 +178,8 @@ FRAME_KEYS = (
 @given(st.tuples(*(st.integers(min_value=0) for _ in FRAME_KEYS)))
 @settings(max_examples=200, deadline=None)
 def test_hand_rolled_frame_encoder_matches_the_journal_encoding(values):
-    """The per-job encoder's bytes are the journal's own encoding: replay
-    compares decoded frames, so only this pins key order and spacing."""
+    """The journal frame's one encoder writes compact ``json.dumps``
+    bytes: replay compares decoded frames, so only this pins key order
+    and spacing."""
     frame = dict(zip(FRAME_KEYS, values))
-    assert _encode_frame(frame) == _encode_payload(frame)
+    assert _encode_frame(frame) == json.dumps(frame, separators=(",", ":")).encode()

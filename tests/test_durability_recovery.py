@@ -25,10 +25,10 @@ from repro.durability import DurabilityConfig, resume_run, run_durable
 from repro.durability.journal import (
     JOURNAL_MAGIC,
     _HEADER,
-    _encode_payload,
     list_segments,
     read_journal_dir,
 )
+from repro.durability.runner import _encode_frame
 from repro.errors import (
     DurabilityError,
     InjectedCrashError,
@@ -207,7 +207,7 @@ class TestCorruptionAndMisuse:
             seg.unlink()
         blob = bytearray(JOURNAL_MAGIC)
         for frame in frames:
-            data = _encode_payload(frame.payload)
+            data = _encode_frame(frame.payload)
             blob += _HEADER.pack(len(data), zlib.crc32(data)) + data
         (journal_dir / "wal-000000.log").write_bytes(bytes(blob))
         with pytest.raises(ReplayDivergenceError):

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.durability.runner import _config_to_manifest
 from repro.errors import InjectedCrashError
 from repro.faults.crash import CrashSpec
 from repro.faults.spec import FaultSpec
@@ -36,15 +37,16 @@ from repro.service import (
     ServiceConfig,
     run_loadgen,
 )
+from repro.service.state import _simulation_config
 from repro.service.testing import running_service
 from repro.sim.simulator import SimulationConfig, simulate_trace
-from repro.telemetry.metrics import PROMETHEUS_CONTENT_TYPE
-from repro.telemetry.recorder import TraceRecorder
-from repro.telemetry.sinks import JsonlSink
 from repro.telemetry.forensics.reconstruct import (
     reconstruct,
     verify_against_cache,
 )
+from repro.telemetry.metrics import PROMETHEUS_CONTENT_TYPE
+from repro.telemetry.recorder import TraceRecorder
+from repro.telemetry.sinks import JsonlSink
 from repro.types import MB
 from repro.workload.generator import WorkloadSpec, generate_trace
 
@@ -408,6 +410,106 @@ class TestNonFiniteNumbers:
                 state.submit(files, priority=value)
             assert arrivals.read_bytes() == before
             assert state.next_job == 0
+
+
+class TestManifest:
+    """The service manifest records the fault spec field by field."""
+
+    @staticmethod
+    def _hand_listed(config):
+        # the manifest as written when every FaultSpec field was listed
+        doc = _config_to_manifest(_simulation_config(config), config.durability)
+        doc["kind"] = "service"
+        fault = config.fault
+        doc["fault"] = {
+            "seed": fault.seed,
+            "drive_failure_rate": fault.drive_failure_rate,
+            "transfer_failure_rate": fault.transfer_failure_rate,
+            "latency_spike_rate": fault.latency_spike_rate,
+            "latency_spike_factor": fault.latency_spike_factor,
+            "site_downtime_rate": fault.site_downtime_rate,
+            "mean_downtime": fault.mean_downtime,
+        }
+        return doc
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            FaultSpec(),
+            FaultSpec(
+                seed=9,
+                drive_failure_rate=0.01,
+                transfer_failure_rate=0.25,
+                latency_spike_rate=0.5,
+                latency_spike_factor=3,
+                site_downtime_rate=0.125,
+                mean_downtime=30.0,
+            ),
+        ],
+        ids=["default", "non-default"],
+    )
+    def test_manifest_bytes_match_the_hand_listed_form(
+        self, workload_path, tmp_path, fault
+    ):
+        run_dir = tmp_path / "run"
+        config = _config(workload_path, run_dir, fault=fault)
+        CoordinatorState.create(config).close()
+        expected = json.dumps(self._hand_listed(config), indent=2, sort_keys=True)
+        assert (run_dir / "manifest.json").read_text() == expected + "\n"
+        with CoordinatorState.resume(run_dir) as resumed:
+            assert resumed.config.fault == fault
+
+
+class TestTornArrivalsTail:
+    """A kill mid-append leaves the arrivals record's final line torn:
+    resume drops it, truncates the file to the intact prefix and serves
+    on, and the finished trace matches an uninterrupted run's."""
+
+    SERVED = CKPT_EVERY + 5  # jobs served before the tear, past a checkpoint
+
+    @staticmethod
+    def _submit(state, requests):
+        for r in requests:
+            state.submit(sorted(r.bundle.files), priority=r.priority)
+
+    @pytest.fixture(scope="class")
+    def reference(self, trace, workload_path, tmp_path_factory):
+        run_dir = tmp_path_factory.mktemp("uninterrupted") / "run"
+        with CoordinatorState.create(_config(workload_path, run_dir)) as state:
+            self._submit(state, trace)
+        return (
+            (run_dir / "arrivals.jsonl").read_bytes(),
+            (run_dir / "trace.jsonl").read_bytes(),
+        )
+
+    @pytest.mark.parametrize("cut", ["first-byte", "mid-line", "before-newline"])
+    def test_resume_truncates_the_torn_line_and_serves_on(
+        self, trace, workload_path, tmp_path, reference, cut
+    ):
+        ref_arrivals, ref_trace = reference
+        requests = list(trace)
+        run_dir = tmp_path / "run"
+        with CoordinatorState.create(_config(workload_path, run_dir)) as state:
+            self._submit(state, requests[: self.SERVED])
+        arrivals = run_dir / "arrivals.jsonl"
+        data = arrivals.read_bytes()
+        intact = data.rindex(b"\n", 0, len(data) - 1) + 1
+        last = len(data) - intact  # the final line's length, newline included
+        keep = {"first-byte": 1, "mid-line": last // 2, "before-newline": last - 1}
+        arrivals.write_bytes(data[: intact + keep[cut]])
+
+        resumed = CoordinatorState.resume(run_dir)
+        try:
+            # the torn arrival was never acknowledged: it is served again
+            assert resumed.next_job == self.SERVED - 1
+            assert arrivals.read_bytes() == data[:intact]
+            self._submit(resumed, requests[self.SERVED - 1 : self.SERVED])
+            assert arrivals.read_bytes() == data
+            self._submit(resumed, requests[self.SERVED :])
+        finally:
+            resumed.close()
+        assert arrivals.read_bytes() == ref_arrivals
+        assert (run_dir / "trace.jsonl").read_bytes() == ref_trace
 
 
 def _reject_constant(name):

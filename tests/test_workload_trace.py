@@ -1,12 +1,16 @@
 """Unit tests for Trace and its JSONL serialization."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bundle import FileBundle
 from repro.core.request import Request, RequestStream
 from repro.errors import TraceFormatError
 from repro.types import FileCatalog
-from repro.workload.trace import Trace
+from repro.workload.trace import Trace, encode_header, encode_request_line
 
 
 def make_trace():
@@ -95,3 +99,91 @@ class TestSerialization:
         lines = list(t.dump_lines())
         lines.insert(1, "")
         assert len(Trace.load_lines(lines)) == 2
+
+
+# --------------------------------------------------------------------- #
+# the one header and job-line encoder, pinned to the historical inline forms
+
+
+def _inline_header(meta, catalog):
+    return json.dumps(
+        {
+            "type": "header",
+            "version": 1,
+            "meta": meta,
+            "files": {fid: size for fid, size in catalog.items()},
+        },
+        sort_keys=True,
+    )
+
+
+def _inline_job(req):
+    return json.dumps(
+        {
+            "files": sorted(req.bundle.files),
+            "id": req.request_id,
+            "priority": req.priority,
+            "t": req.arrival_time,
+            "type": "job",
+        }
+    )
+
+
+@st.composite
+def _traces(draw):
+    # non-ASCII file ids exercise json's \u escapes on both sides
+    fids = draw(
+        st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=8, unique=True)
+    )
+    catalog = FileCatalog(
+        {fid: draw(st.integers(min_value=1, max_value=2**40)) for fid in fids}
+    )
+    n_jobs = draw(st.integers(min_value=0, max_value=6))
+    times = sorted(
+        draw(
+            st.lists(
+                st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
+                min_size=n_jobs,
+                max_size=n_jobs,
+            )
+        )
+    )
+    priorities = st.one_of(
+        st.integers(min_value=1, max_value=10**6),
+        st.floats(min_value=1e-9, max_value=1e9, allow_nan=False),
+    )
+    first_id = draw(st.integers(min_value=0, max_value=10**6))
+    stream = RequestStream(
+        Request(
+            first_id + k,
+            FileBundle(draw(st.lists(st.sampled_from(fids), min_size=1))),
+            arrival_time=t,
+            priority=draw(priorities),
+        )
+        for k, t in enumerate(times)
+    )
+    meta = draw(
+        st.dictionaries(st.text(max_size=5), st.one_of(st.integers(), st.text()))
+    )
+    return Trace(catalog, stream, meta=meta)
+
+
+@given(_traces())
+@settings(max_examples=200, deadline=None)
+def test_shared_encoders_match_the_inline_forms_and_round_trip(t):
+    """The arrivals record and workload files are written by these two
+    encoders; their bytes must equal what the inline ``json.dumps`` call
+    sites wrote, so records written before and after stay identical."""
+    header = encode_header(t.meta, t.catalog)
+    assert header == _inline_header(t.meta, t.catalog)
+    for req in t:
+        assert encode_request_line(req) == _inline_job(req)
+    lines = list(t.dump_lines())
+    assert lines == [header] + [_inline_job(req) for req in t]
+
+    back = Trace.load_lines(lines)
+    assert back.meta == t.meta
+    assert back.catalog.as_dict() == t.catalog.as_dict()
+    assert [
+        (r.request_id, r.bundle, r.arrival_time, r.priority) for r in back
+    ] == [(r.request_id, r.bundle, r.arrival_time, r.priority) for r in t]
