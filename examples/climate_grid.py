@@ -80,13 +80,14 @@ def main() -> None:
             t += float(arr_rng.exponential(20.0))
             engine.schedule_at(t, lambda r=request: srm.submit(r))
         engine.run()
+        r = srm.result()
         rows.append(
             [
                 policy,
-                srm.response_times.mean,
-                srm.jobs_done / srm.last_completion * 3600,
-                srm.bytes_staged / GB,
-                srm.request_hits / srm.jobs_done,
+                r.mean_response_time,
+                r.throughput * 3600,
+                r.bytes_staged / GB,
+                r.request_hit_ratio,
             ]
         )
     print(render_table(

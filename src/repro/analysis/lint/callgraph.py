@@ -1011,13 +1011,3 @@ class CallGraph:
                     if t != caller
                 )
                 self.edges[caller] = self.edges.get(caller, ()) + extra
-
-    # -------------------------------------------------------------- #
-
-    def children_of(self, fid: str) -> list[str]:
-        """Nested functions of ``fid`` (their effects fold upward)."""
-        return sorted(
-            child_id
-            for child_id, child in self.functions.items()
-            if child.parent == fid
-        )

@@ -15,7 +15,6 @@ from typing import Sequence
 
 from repro.cache.policy import PerFilePolicy
 from repro.core.bundle import FileBundle
-from repro.errors import PolicyError
 from repro.types import FileId
 
 __all__ = ["BeladyPolicy"]
@@ -59,12 +58,6 @@ class BeladyPolicy(PerFilePolicy):
                 best_key = key
                 best = fid
         return best
-
-    def rewind(self) -> None:
-        """Reset the clock for a fresh replay of the same future."""
-        if self._cache is not None:
-            raise PolicyError("rewind() requires an unbound policy")
-        self._clock = -1
 
     def export_state(self) -> dict:
         # occurrences derive from the (replayable) future; only the clock

@@ -16,7 +16,7 @@ from repro.cache.state import CacheState
 from repro.core.bundle import FileBundle
 from repro.core.history import RequestHistory, TruncationMode
 from repro.core.optfilebundle import LoadPlan, OptFileBundlePlanner
-from repro.errors import PolicyError
+from repro.errors import CacheCapacityError, PolicyError
 from repro.telemetry import FileEvicted, PlanComputed
 from repro.types import FileId, SizeBytes
 
@@ -121,6 +121,26 @@ class OptFileBundlePolicy(ReplacementPolicy):
         self, bundle: FileBundle, loaded: frozenset[FileId], hit: bool
     ) -> None:
         """No-op: the plan was already committed in :meth:`on_request`."""
+
+    def on_abandoned(self, loaded: frozenset[FileId]) -> None:
+        """Forget the committed loads that never arrived.
+
+        :meth:`on_request` told the history that every planned load is
+        resident; without this resync a cache-supported history would
+        keep selecting around files the cache does not hold, and prefetch
+        them on later plans.
+        """
+        self.history.sync_resident(self.cache.residents())
+
+    def _lacks_room(self, bundle: FileBundle, pinned: frozenset[FileId]) -> bool:
+        # the plan, not the demand bytes alone, decides: its kept files
+        # and prefetches count against the room too
+        cache = self.cache
+        try:
+            self.planner.plan(bundle, cache.residents(), cache.used, pinned=pinned)
+        except CacheCapacityError:
+            return True
+        return False
 
     @property
     def last_plan(self) -> LoadPlan | None:

@@ -13,7 +13,12 @@ The simulator drives a policy like this for every job::
 ``on_request`` must leave enough free space for the bundle's missing files
 plus any prefetch it asks for; it must never evict a file of the bundle
 itself.  The simulator — not the policy — performs the loads, so byte
-accounting is identical for every algorithm.
+accounting is identical for every algorithm.  Files pinned by
+concurrent jobs are never victims; when the pins leave too little room,
+``on_request`` raises before its first eviction, and a driver that pins
+(the timed SRM) asks :meth:`~ReplacementPolicy.blocked_by_pins` first.
+A job given up before its loads all arrived ends in ``on_abandoned``
+instead of ``on_serviced``.
 
 :class:`PerFilePolicy` factors the eviction loop common to the classical
 per-file algorithms (LRU, LFU, FIFO, …): subclasses only implement victim
@@ -98,6 +103,30 @@ class ReplacementPolicy(abc.ABC):
     ) -> None:
         """Notification that the request was serviced and files loaded."""
 
+    def on_abandoned(self, loaded: frozenset[FileId]) -> None:
+        """A decided request was given up before all its loads arrived.
+
+        ``loaded`` are the files that did arrive; they stay resident and
+        evictable, so by default they are booked as a missed request's
+        loads.
+        """
+        if loaded:
+            self.on_serviced(FileBundle(sorted(loaded)), loaded, False)
+
+    def blocked_by_pins(self, bundle: FileBundle) -> bool:
+        """Would pinned files keep :meth:`on_request` from making room?
+
+        A driver that pins files (the timed SRM) asks before it starts a
+        job, so a blocked start decides, evicts and emits nothing.  False
+        when nothing is pinned, and for a bundle larger than the whole
+        cache, which is unserviceable rather than blocked.
+        """
+        cache = self.cache
+        pinned = cache.pinned_files()
+        if not pinned or bundle.size_under(self.sizes) > cache.capacity:
+            return False
+        return self._lacks_room(bundle, pinned)
+
     def score(self, bundle: FileBundle) -> float | None:
         """Optional queue-scheduling priority of a bundle (higher first).
 
@@ -147,6 +176,19 @@ class ReplacementPolicy(abc.ABC):
         missing = self.cache.missing(bundle)
         return sum(self.sizes[f] for f in missing)
 
+    def _room(self, bundle: FileBundle, pinned: frozenset[FileId]) -> SizeBytes:
+        """Free bytes plus the resident bytes outside ``bundle`` and ``pinned``."""
+        cache = self.cache
+        return cache.free + sum(
+            cache.size_of(f)
+            for f in cache.residents()
+            if f not in pinned and f not in bundle
+        )
+
+    def _lacks_room(self, bundle: FileBundle, pinned: frozenset[FileId]) -> bool:
+        """Can no choice of victims outside ``pinned`` fit the bundle?"""
+        return self._room(bundle, pinned) < self._needed_bytes(bundle)
+
 
 class PerFilePolicy(ReplacementPolicy):
     """Base class for classical per-file policies.
@@ -163,6 +205,13 @@ class PerFilePolicy(ReplacementPolicy):
         needed = self._needed_bytes(bundle)
         evicted: set[FileId] = set()
         pinned = cache.pinned_files()
+        if pinned and cache.free < needed and self._room(bundle, pinned) < needed:
+            # checked before the first eviction: a start blocked by the
+            # pins of concurrent jobs must leave the cache as it found it
+            raise PolicyError(
+                f"{self.name}: pinned files leave too little evictable space "
+                f"for {needed} bytes"
+            )
         with rec.span("cache.evict"):
             while cache.free < needed:
                 exclude = bundle.files | pinned if pinned else bundle.files

@@ -287,12 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit non-zero if the trace violates any invariant",
     )
-    p_an.add_argument(
-        "--split-on-time-reset",
-        action="store_true",
-        help="treat simulated time running backwards as a run boundary "
-        "(concatenated timed-SRM runs) instead of a violation",
-    )
     p_an.add_argument("--anomaly-window", type=int, default=9)
     p_an.add_argument("--anomaly-threshold", type=float, default=3.5)
 
@@ -1221,11 +1215,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
             log = TraceLog.load(args.trace)
             capacity = parse_size(args.capacity) if args.capacity else None
-            report = reconstruct(
-                log,
-                capacity=capacity,
-                split_on_time_reset=args.split_on_time_reset,
-            )
+            report = reconstruct(log, capacity=capacity)
             print(f"trace: {args.trace}")
             print(report.render())
             anomalies = window_anomalies(

@@ -343,6 +343,3 @@ class OptFileBundlePlanner:
         """Notify the planner of an eviction it did not itself plan."""
         self._history.on_file_evicted(file_id)
 
-    def observe_load(self, file_id: FileId) -> None:
-        """Notify the planner of a load it did not itself plan."""
-        self._history.on_file_loaded(file_id)

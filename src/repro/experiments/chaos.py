@@ -116,30 +116,7 @@ def run_chaos_once(
     for request in trace:
         engine.schedule_at(request.arrival_time, lambda r=request: srm.submit(r))
     engine.run()
-    makespan = srm.last_completion
-    return SRMResult(
-        policy=policy,
-        jobs=srm.jobs_done,
-        unserviceable=srm.unserviceable,
-        makespan=makespan,
-        mean_response_time=(
-            srm.response_times.mean if srm.response_times.count else 0.0
-        ),
-        max_response_time=(
-            srm.response_times.max if srm.response_times.count else 0.0
-        ),
-        throughput=srm.jobs_done / makespan if makespan > 0 else 0.0,
-        bytes_staged=srm.bytes_staged,
-        request_hits=srm.request_hits,
-        bytes_requested=srm.bytes_requested,
-        deferred_starts=srm.deferred_starts,
-        retries=srm.retries,
-        failovers=srm.failovers,
-        timeouts=srm.timeouts,
-        requeues=srm.requeues,
-        failed_jobs=srm.failed_jobs,
-        time_lost_to_faults=srm.time_lost_to_faults,
-    )
+    return srm.result()
 
 
 def run_chaos(scale: str = "quick") -> ExperimentOutput:

@@ -6,8 +6,14 @@ model — while up to ``service_slots`` jobs may be in their compute phase
 concurrently.  Starting a job pins its files (an SRM's core contract:
 files a job depends on are never evicted mid-service); the replacement
 policy therefore never sees pinned files as eviction victims, and a job
-whose start is blocked by other jobs' pins waits until a completion
-releases them.
+whose start is blocked by other jobs' pins waits, untouched, until a
+completion releases them.
+
+Every decision runs on the :class:`~repro.sim.coordinator.CoordinatorCore`
+the untimed drivers use: a job is *decided* when it starts (the same
+``JobArrived``/``PlanComputed``/``FileEvicted`` events, evictions and
+unserviceable check), each planned load enters the cache as its staging
+completes, and the job is *accounted* when its compute phase ends.
 
 Fault tolerance
 ---------------
@@ -39,22 +45,20 @@ from typing import Any
 
 from repro.cache.registry import make_policy
 from repro.cache.state import CacheState
-from repro.core.bundle import FileBundle
 from repro.core.request import Request
 from repro.errors import (
-    CacheCapacityError,
     ConfigError,
-    PolicyError,
     RetryExhaustedError,
     SimulationError,
     StagingTimeoutError,
-    UnknownFileError,
 )
 from repro.faults import FaultInjector, FaultSpec
 from repro.grid.mss import MassStorageSystem
 from repro.grid.network import NetworkLink
 from repro.grid.site import ReplicaCatalog
+from repro.sim.coordinator import CoordinatorCore, JobOutcome
 from repro.sim.engine import EventEngine
+from repro.sim.metrics import MetricsCollector
 from repro.telemetry import (
     MetricsRegistry,
     StageCompleted,
@@ -198,22 +202,22 @@ class _JobContext:
     __slots__ = (
         "request",
         "arrived",
+        "outcome",
         "awaiting",
         "pinned",
         "loaded",
-        "hit",
         "attempts",
         "tokens",
         "sites",
     )
 
-    def __init__(self, request: Request, arrived: float):
+    def __init__(self, request: Request, arrived: float, outcome: JobOutcome):
         self.request = request
         self.arrived = arrived
+        self.outcome = outcome  # the core's decision, accounted at completion
         self.awaiting: set[FileId] = set()
         self.pinned: set[FileId] = set()
         self.loaded: set[FileId] = set()
-        self.hit = False
         # fault-tolerance state, all keyed by file id:
         self.attempts: dict[FileId, int] = {}  # failed attempts so far
         self.tokens: dict[FileId, int] = {}  # current in-flight attempt id
@@ -238,7 +242,6 @@ class StorageResourceManager:
         *,
         replicas: ReplicaCatalog | None = None,
         future_bundles=None,
-        registry: MetricsRegistry | None = None,
     ):
         self.engine = engine
         self.sizes = sizes
@@ -246,13 +249,22 @@ class StorageResourceManager:
         # Each SRM owns its registry (never the recorder's shared one) so
         # counters cannot leak across runs; the recorder is captured once
         # because staging decisions happen deep inside event callbacks.
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self._recorder = current_recorder()
         self.cache = CacheState(config.cache_size)
         self.policy = make_policy(
             config.policy, future=future_bundles, **config.policy_kwargs
         )
         self.policy.bind(self.cache, sizes)
+        # the decision core every driver shares: a job is decided when it
+        # starts and accounted when it completes
+        self.core = CoordinatorCore(
+            cache=self.cache,
+            policy=self.policy,
+            sizes=sizes,
+            metrics=MetricsCollector(registry=self.registry),
+            recorder=self._recorder,
+        )
         self.replicas = replicas
         self.injector: FaultInjector | None = (
             FaultInjector(config.faults) if config.faults is not None else None
@@ -289,16 +301,6 @@ class StorageResourceManager:
         self._bytes_staged = reg.counter(
             "srm_bytes_staged_total", "bytes fetched into the disk cache"
         )
-        self._bytes_requested = reg.counter(
-            "srm_bytes_requested_total", "bundle bytes of completed jobs"
-        )
-        self._jobs_done = reg.counter("srm_jobs_done_total", "jobs completed")
-        self._request_hits = reg.counter(
-            "srm_request_hits_total", "jobs whose bundle was fully resident"
-        )
-        self._unserviceable = reg.counter(
-            "srm_unserviceable_total", "jobs larger than the cache"
-        )
         self._deferred_starts = reg.counter(
             "srm_deferred_starts_total", "job starts blocked by pinned files"
         )
@@ -333,22 +335,6 @@ class StorageResourceManager:
         return int(self._bytes_staged.value)
 
     @property
-    def bytes_requested(self) -> SizeBytes:
-        return int(self._bytes_requested.value)
-
-    @property
-    def jobs_done(self) -> int:
-        return int(self._jobs_done.value)
-
-    @property
-    def request_hits(self) -> int:
-        return int(self._request_hits.value)
-
-    @property
-    def unserviceable(self) -> int:
-        return int(self._unserviceable.value)
-
-    @property
     def deferred_starts(self) -> int:
         return int(self._deferred_starts.value)
 
@@ -378,26 +364,8 @@ class StorageResourceManager:
 
     # ------------------------------------------------------------------ #
 
-    def _size(self, file_id: FileId) -> SizeBytes:
-        try:
-            return self.sizes[file_id]
-        except KeyError:
-            raise UnknownFileError(
-                f"file {file_id!r} is not in the size catalog"
-            ) from None
-
     def submit(self, request: Request) -> None:
         """Enqueue a job at the current simulated time."""
-        try:
-            bundle_size = request.bundle.size_under(self.sizes)
-        except KeyError as exc:
-            raise UnknownFileError(
-                f"request {request.request_id} references unknown file "
-                f"{exc.args[0] if exc.args else '?'!r}"
-            ) from None
-        if bundle_size > self.cache.capacity:
-            self._unserviceable.inc()
-            return
         self._queue.append((request, self.engine.now))
         self._maybe_start()
 
@@ -409,37 +377,30 @@ class StorageResourceManager:
     def queued_jobs(self) -> int:
         return len(self._queue)
 
-    def export_queue_state(self) -> dict:
-        """JSON-ready snapshot of the admission/service queues.
-
-        The checkpoint layer snapshots this alongside cache and policy
-        state so an interrupted grid run can be inspected (which jobs
-        were waiting, in flight, or staging when the process died).
-        Export-only: the event-driven SRM is recovered by re-execution,
-        not by state import.
-        """
-        return {
-            "queued": [
-                {"request_id": r.request_id, "arrived": arrived}
-                for r, arrived in self._queue
-            ],
-            "active": [
-                {
-                    "request_id": ctx.request.request_id,
-                    "arrived": ctx.arrived,
-                    "awaiting": sorted(ctx.awaiting),
-                    "pinned": sorted(ctx.pinned),
-                    "hit": ctx.hit,
-                }
-                for ctx in self._active
-            ],
-            "staging": (
-                self._staging.request.request_id
-                if self._staging is not None
-                else None
-            ),
-            "requeued_ids": sorted(self._requeued_ids),
-        }
+    def result(self) -> SRMResult:
+        """Summarise the run (call once the engine has drained)."""
+        served = self.core.metrics.snapshot()
+        times = self.response_times
+        makespan = self.last_completion
+        return SRMResult(
+            policy=self.config.policy,
+            jobs=served.jobs,
+            unserviceable=served.unserviceable,
+            makespan=makespan,
+            mean_response_time=times.mean if times.count else 0.0,
+            max_response_time=times.max if times.count else 0.0,
+            throughput=served.jobs / makespan if makespan > 0 else 0.0,
+            bytes_staged=self.bytes_staged,
+            request_hits=served.request_hits,
+            bytes_requested=served.bytes_requested,
+            deferred_starts=self.deferred_starts,
+            retries=self.retries,
+            failovers=self.failovers,
+            timeouts=self.timeouts,
+            requeues=self.requeues,
+            failed_jobs=self.failed_jobs,
+            time_lost_to_faults=self.time_lost_to_faults,
+        )
 
     # ------------------------------------------------------------------ #
 
@@ -455,39 +416,23 @@ class StorageResourceManager:
     def _try_start(self) -> bool:
         """Start the head-of-queue job; False if blocked by pins."""
         request, arrived = self._queue[0]
-        bundle = request.bundle
-        missing = self.cache.missing(bundle)
-
-        try:
-            decision = self.policy.on_request(bundle)
-        except (PolicyError, CacheCapacityError):
+        if self.policy.blocked_by_pins(request.bundle):
             # Pinned files of jobs in their compute phase block eviction;
             # retry when a completion releases pins.
             self._deferred_starts.inc()
             return False
-
-        to_stage = set(missing)
-        budget = self.cache.free - sum(self._size(f) for f in missing)
-        for f in sorted(decision.prefetch):
-            if f in self.cache or f in to_stage:
-                continue
-            size = self._size(f)
-            if size <= budget:  # drop prefetches that no longer fit
-                to_stage.add(f)
-                budget -= size
-        if self.cache.free < sum(self._size(f) for f in to_stage):
-            raise SimulationError(
-                f"policy {self.policy.name!r} did not free enough space"
-            )
-
         self._queue.popleft()
-        ctx = _JobContext(request, arrived)
-        ctx.hit = not missing
+        core = self.core
+        outcome = core.decide(core.jobs_submitted, request)
+        if outcome.unserviceable:
+            return True
+        ctx = _JobContext(request, arrived, outcome)
         self._active.append(ctx)
-        for f in bundle:
+        for f in request.bundle:
             if f in self.cache:
                 self.cache.pin(f)
                 ctx.pinned.add(f)
+        to_stage = outcome.loaded + outcome.prefetched
         if not to_stage:
             self._start_processing(ctx)
             return True
@@ -527,7 +472,7 @@ class StorageResourceManager:
         """Synchronous part of one staging attempt: resolve source, dispatch."""
         ctx = self._staging
         assert ctx is not None
-        size = self._size(file_id)
+        size = self.sizes[file_id]
         token = next(self._token_seq)
         ctx.tokens[file_id] = token
         started = self.engine.now
@@ -671,12 +616,7 @@ class StorageResourceManager:
         self._active.remove(ctx)
         for f in ctx.pinned:
             self.cache.unpin(f)
-        if ctx.loaded:
-            # Files staged before the abort are resident; tell the policy
-            # so its bookkeeping covers them (they stay evictable).
-            self.policy.on_serviced(
-                FileBundle(sorted(ctx.loaded)), frozenset(ctx.loaded), False
-            )
+        self.policy.on_abandoned(frozenset(ctx.loaded))
         request_id = ctx.request.request_id
         if request_id not in self._requeued_ids:
             self._requeued_ids.add(request_id)
@@ -698,7 +638,7 @@ class StorageResourceManager:
                 # without faults or timeouts every arrival must be live
                 raise SimulationError(f"unexpected arrival of {file_id!r}")
             return  # stale completion of a timed-out attempt
-        size = self._size(file_id)
+        size = self.sizes[file_id]
         self.cache.load(file_id, size)
         self.cache.pin(file_id)
         self._bytes_staged.inc(size)
@@ -726,15 +666,11 @@ class StorageResourceManager:
         )
 
     def _complete(self, ctx: _JobContext) -> None:
-        bundle = ctx.request.bundle
-        self.policy.on_serviced(bundle, frozenset(ctx.loaded), ctx.hit)
+        self.core.account(ctx.request, ctx.outcome)
         for f in ctx.pinned:
             self.cache.unpin(f)
         self._active.remove(ctx)
         self.response_times.push(self.engine.now - ctx.arrived)
-        self._jobs_done.inc()
-        self._request_hits.inc(int(ctx.hit))
-        self._bytes_requested.inc(bundle.size_under(self.sizes))
         self.last_completion = self.engine.now
         self._maybe_start()
 
@@ -776,28 +712,4 @@ def run_timed_simulation(
     for request in trace:
         engine.schedule_at(request.arrival_time, lambda r=request: srm.submit(r))
     engine.run()
-
-    makespan = srm.last_completion
-    return SRMResult(
-        policy=config.policy,
-        jobs=srm.jobs_done,
-        unserviceable=srm.unserviceable,
-        makespan=makespan,
-        mean_response_time=(
-            srm.response_times.mean if srm.response_times.count else 0.0
-        ),
-        max_response_time=(
-            srm.response_times.max if srm.response_times.count else 0.0
-        ),
-        throughput=srm.jobs_done / makespan if makespan > 0 else 0.0,
-        bytes_staged=srm.bytes_staged,
-        request_hits=srm.request_hits,
-        bytes_requested=srm.bytes_requested,
-        deferred_starts=srm.deferred_starts,
-        retries=srm.retries,
-        failovers=srm.failovers,
-        timeouts=srm.timeouts,
-        requeues=srm.requeues,
-        failed_jobs=srm.failed_jobs,
-        time_lost_to_faults=srm.time_lost_to_faults,
-    )
+    return srm.result()

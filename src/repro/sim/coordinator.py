@@ -5,11 +5,15 @@ simulator (the paper's ``cacheSim`` inner loop) factored out of any
 driver: it holds the cache, the bound policy, the size catalog and the
 metrics collector, and services one request at a time.  It is
 deliberately event-loop-free and I/O-free — the batch simulator
-(:func:`repro.sim.simulator.simulate_trace`) and the durable commit
+(:func:`repro.sim.simulator.simulate_trace`), the durable commit
 pipeline (:class:`repro.durability.runner.JournaledCore`) behind the
-batch runner and the online coordinator service all drive the *same*
-core, which is what makes
-their decision traces byte-for-byte comparable.
+batch runner and the online coordinator service, and the timed SRM
+(:class:`repro.grid.srm.StorageResourceManager`) all drive the *same*
+core, which is what makes their decision traces comparable.  The
+untimed drivers call :meth:`CoordinatorCore.submit`; the SRM, whose
+loads arrive over simulated time, calls its two halves
+:meth:`~CoordinatorCore.decide` and :meth:`~CoordinatorCore.account`
+around its staging.
 
 Telemetry is emitted through the recorder captured at construction, in
 the exact order the simulator always used: ``JobArrived`` → the policy's
@@ -130,8 +134,15 @@ class CoordinatorCore:
                 f"file {file_id!r} is not in the size catalog"
             ) from None
 
-    def submit(self, job_index: int, request: Request) -> JobOutcome:
-        """Service one request: plan, decide, apply, account.
+    def decide(self, job_index: int, request: Request) -> JobOutcome:
+        """Plan and decide one request: everything before its loads.
+
+        Emits ``JobArrived`` and the policy's decision events, applies the
+        policy's evictions and returns the outcome the loads will realise.
+        The driver then brings in ``loaded`` and ``prefetched`` — all at
+        once (:meth:`submit`) or one staging completion at a time (the
+        timed SRM) — and calls :meth:`account`.  An unserviceable request
+        is counted here and is never accounted.
 
         Raises :class:`~repro.errors.UnknownFileError` for files outside
         the catalog and :class:`~repro.errors.SimulationError` when the
@@ -173,16 +184,21 @@ class CoordinatorCore:
             )
         # span structure mirrors the request-tracing tree: core.plan wraps
         # the policy's decision (policy.on_request and any cache.evict
-        # nested inside it), cache.admit wraps applying the loads
+        # nested inside it); submit's cache.admit wraps applying the loads
         with rec.span("core.plan"):
             missing = cache.missing(bundle)
             with rec.span("policy.on_request"):
                 decision = self.policy.on_request(bundle)
 
-            loads = sorted(missing)
+            # sorted: load order cannot change what ends up resident, but a
+            # reproducible order keeps the load counters' interleaving (and
+            # any future instrumentation of it) identical across processes
+            loads = tuple(sorted(missing))
             demand_bytes = sum(self._size(f) for f in loads)
-            prefetches = sorted(
-                f for f in decision.prefetch if f not in cache and f not in missing
+            prefetches = tuple(
+                sorted(
+                    f for f in decision.prefetch if f not in cache and f not in missing
+                )
             )
             prefetch_bytes = sum(self._size(f) for f in prefetches)
             needed = demand_bytes + prefetch_bytes
@@ -191,44 +207,50 @@ class CoordinatorCore:
                     f"policy {self.policy.name!r} left only {cache.free} free "
                     f"bytes but {needed} are needed"
                 )
-        with rec.span("cache.admit"):
-            # sorted: load order cannot change what ends up resident, but a
-            # reproducible order keeps the load counters' interleaving (and
-            # any future instrumentation of it) identical across processes
-            for f in loads:
-                cache.load(f, self.sizes[f])
-            for f in prefetches:
-                cache.load(f, self.sizes[f])
-            if rec.active:
-                for f in loads:
-                    rec.emit(
-                        FileAdmitted(file=str(f), bytes=self.sizes[f], cause="demand")
-                    )
-                for f in prefetches:
-                    rec.emit(
-                        FileAdmitted(
-                            file=str(f), bytes=self.sizes[f], cause="prefetch"
-                        )
-                    )
-        hit = not missing
-        self.policy.on_serviced(bundle, frozenset(missing | set(prefetches)), hit)
-        self.metrics.record_job(
-            requested_bytes=requested,
-            demand_loaded_bytes=demand_bytes,
-            prefetched_bytes=prefetch_bytes,
-            hit=hit,
-        )
-        if self.check_invariants:
-            cache.check_invariants()
         return JobOutcome(
             job=job_index,
             request_id=request.request_id,
             requested_bytes=requested,
-            hit=hit,
+            hit=not missing,
             unserviceable=False,
-            loaded=tuple(loads),
-            prefetched=tuple(prefetches),
+            loaded=loads,
+            prefetched=prefetches,
             evicted=tuple(sorted(decision.evicted)),
             demand_bytes=demand_bytes,
             prefetch_bytes=prefetch_bytes,
         )
+
+    def account(self, request: Request, outcome: JobOutcome) -> None:
+        """Close a decided request whose loads are all resident."""
+        self.policy.on_serviced(
+            request.bundle, frozenset(outcome.loaded + outcome.prefetched), outcome.hit
+        )
+        self.metrics.record_job(
+            requested_bytes=outcome.requested_bytes,
+            demand_loaded_bytes=outcome.demand_bytes,
+            prefetched_bytes=outcome.prefetch_bytes,
+            hit=outcome.hit,
+        )
+        if self.check_invariants:
+            self.cache.check_invariants()
+
+    def submit(self, job_index: int, request: Request) -> JobOutcome:
+        """Service one request: :meth:`decide`, load, :meth:`account`."""
+        outcome = self.decide(job_index, request)
+        if outcome.unserviceable:
+            return outcome
+        cache = self.cache
+        sizes = self.sizes
+        rec = self.rec
+        with rec.span("cache.admit"):
+            for f in outcome.loaded:
+                cache.load(f, sizes[f])
+            for f in outcome.prefetched:
+                cache.load(f, sizes[f])
+            if rec.active:
+                for f in outcome.loaded:
+                    rec.emit(FileAdmitted(file=str(f), bytes=sizes[f], cause="demand"))
+                for f in outcome.prefetched:
+                    rec.emit(FileAdmitted(file=str(f), bytes=sizes[f], cause="prefetch"))
+        self.account(request, outcome)
+        return outcome

@@ -169,9 +169,8 @@ class _Window:
 class _Reconstructor:
     """Single-pass streaming state machine behind :func:`reconstruct`."""
 
-    def __init__(self, capacity: int | None, split_on_time_reset: bool):
+    def __init__(self, capacity: int | None):
         self.capacity = capacity
-        self.split_on_time_reset = split_on_time_reset
         self.segments: list[SegmentState] = []
         self.violations: list[InvariantViolation] = []
         self.events = 0
@@ -330,14 +329,11 @@ class _Reconstructor:
 
     def _tick(self, seq: int, t: float) -> None:
         if t < self._clock:
-            if self.split_on_time_reset:
-                self._new_segment()
-            else:
-                self._flag(
-                    "time-regression",
-                    seq,
-                    f"simulated time went backwards: {t} after {self._clock}",
-                )
+            self._flag(
+                "time-regression",
+                seq,
+                f"simulated time went backwards: {t} after {self._clock}",
+            )
         self._clock = max(self._clock, t)
 
     # -------------------------------------------------------------- #
@@ -451,7 +447,6 @@ def reconstruct(
     source: TraceSource,
     *,
     capacity: int | None = None,
-    split_on_time_reset: bool = False,
 ) -> ReconstructionReport:
     """Replay a trace into per-segment residency state, checking invariants.
 
@@ -459,12 +454,10 @@ def reconstruct(
     of events / ``(seq, event)`` pairs (e.g. a
     :class:`~repro.telemetry.sinks.RingSink`'s contents or a streaming
     :func:`iter_trace`).  ``capacity`` enables the occupancy invariant.
-    ``split_on_time_reset`` treats simulated time running backwards as a
-    run boundary instead of a violation — use it for traces that
-    concatenate several timed-SRM runs, which carry no job counter to
-    split on.
+    Every driver, the timed SRM included, numbers its jobs from 0, so a
+    trace concatenating several runs splits into one segment per run.
     """
-    recon = _Reconstructor(capacity, split_on_time_reset)
+    recon = _Reconstructor(capacity)
     for seq, event in _as_stream(source):
         recon.feed(seq, event)
     return recon.finish(capacity)

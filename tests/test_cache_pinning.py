@@ -115,6 +115,37 @@ class TestPolicyRespectsPins:
         with pytest.raises(PolicyError):
             p.on_request(FileBundle(["b"]))
 
+    @pytest.mark.parametrize("name", ["lru", "landlord", "optbundle"])
+    def test_blocked_start_changes_nothing(self, name):
+        from repro.cache.registry import make_policy
+
+        # f0 is evictable, but f1+f2 are pinned: 20 bytes of room for a
+        # 30-byte bundle, so the start is blocked before any eviction
+        sizes = {f"f{i}": 10 for i in range(6)}
+        p, c = make_policy(name), CacheState(40)
+        p.bind(c, sizes)
+        for n in ("f0", "f1", "f2"):
+            b = FileBundle([n])
+            missing = c.missing(b)
+            p.on_request(b)
+            for f in missing:
+                c.load(f, sizes[f])
+            p.on_serviced(b, frozenset(missing), False)
+        c.pin("f1")
+        c.pin("f2")
+        blocked = FileBundle(["f3", "f4", "f5"])
+        assert p.blocked_by_pins(blocked)
+        before = c.export_state()
+        with pytest.raises((PolicyError, CacheCapacityError)):
+            p.on_request(blocked)
+        assert c.export_state() == before
+        # an oversized bundle is unserviceable, not blocked
+        assert not p.blocked_by_pins(FileBundle([f"f{i}" for i in range(6)]))
+        c.unpin("f1")
+        c.unpin("f2")
+        assert not p.blocked_by_pins(blocked)
+        assert len(p.on_request(blocked).evicted) == 2
+
     def test_optbundle_respects_pins(self):
         from repro.cache.optbundle_policy import OptFileBundlePolicy
 

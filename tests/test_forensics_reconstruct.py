@@ -140,9 +140,9 @@ def srm_config(**kw):
     return SRMConfig(**defaults)
 
 
-def record_srm_run(path, cfg):
+def record_srm_run(path, cfg, trace=None):
     """Timed SRM run under a recorder; returns the SRM (for srm.cache)."""
-    trace = srm_trace()
+    trace = srm_trace() if trace is None else trace
     with TraceRecorder(JsonlSink(path)) as rec:
         with use_recorder(rec):
             engine = EventEngine()
@@ -174,7 +174,42 @@ class TestDifferentialTimed:
         assert report.violations == []
         assert verify_against_cache(report, srm.cache) == []
 
+    @pytest.mark.parametrize("policy_name", ["lru", "landlord", "optbundle"])
+    def test_pin_deferred_start_leaves_no_events(self, tmp_path, policy_name):
+        # job 2 needs 300 bytes at t=33 while job 1 (compute until ~34.1)
+        # pins f1+f2: evicting f0 alone cannot make room, so the start is
+        # deferred, and it must evict and emit nothing until job 1 is done
+        timeline = [(0.0, ["f0"]), (1.0, ["f1", "f2"]), (33.0, ["f3", "f4", "f5"])]
+        trace = Trace(
+            FileCatalog(SRM_SIZES),
+            RequestStream(
+                Request(i, FileBundle(b), arrival_time=t)
+                for i, (t, b) in enumerate(timeline)
+            ),
+        )
+        path = tmp_path / "srm_pins.jsonl"
+        srm = record_srm_run(
+            path,
+            srm_config(
+                policy=policy_name,
+                cache_size=400,
+                processing_time=30.0,
+                service_slots=3,
+            ),
+            trace,
+        )
+        assert srm.deferred_starts >= 1
+        assert srm.result().jobs == 3
+        log = TraceLog.load(path)
+        assert [e.job for e in log if isinstance(e, JobArrived)] == [0, 1, 2]
+        report = reconstruct(path, capacity=400)
+        assert report.violations == []
+        assert verify_against_cache(report, srm.cache) == []
+
     def test_concatenated_timed_runs_split_on_time_reset(self, tmp_path):
+        # each run's JobArrived numbering restarts at 0 where its simulated
+        # time restarts, so the runs split with no option and no
+        # time-regression violation
         path = tmp_path / "two_runs.jsonl"
         trace = srm_trace()
         with TraceRecorder(JsonlSink(path)) as rec:
@@ -189,9 +224,7 @@ class TestDifferentialTimed:
                             request.arrival_time, lambda r=request: srm.submit(r)
                         )
                     engine.run()
-        flagged = reconstruct(path, capacity=300)
-        assert any(v.rule == "time-regression" for v in flagged.violations)
-        split = reconstruct(path, capacity=300, split_on_time_reset=True)
+        split = reconstruct(path, capacity=300)
         assert split.violations == []
         assert len(split.segments) == 2
         assert verify_against_cache(split, srm.cache, segment=-1) == []

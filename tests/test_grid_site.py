@@ -122,7 +122,7 @@ class TestReplicatedSRM:
         for request in trace:
             engine.schedule_at(request.arrival_time, lambda r=request: srm.submit(r))
         engine.run()
-        assert srm.jobs_done == 2
+        assert srm.result().jobs == 2
         # the fast site should have served the retrievals
         assert fast.mss.retrievals == 2
         assert slow.mss.retrievals == 0

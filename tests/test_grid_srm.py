@@ -2,12 +2,18 @@
 
 import pytest
 
+from repro.cache.registry import POLICY_REGISTRY
 from repro.core.bundle import FileBundle
 from repro.core.request import Request, RequestStream
 from repro.errors import ConfigError
 from repro.grid.network import NetworkLink
-from repro.grid.srm import SRMConfig, run_timed_simulation
-from repro.types import FileCatalog
+from repro.grid.srm import SRMConfig, StorageResourceManager, run_timed_simulation
+from repro.sim.engine import EventEngine
+from repro.sim.simulator import SimulationConfig, simulate_trace
+from repro.telemetry import RingSink, TraceRecorder, use_recorder
+from repro.telemetry.events import FileEvicted, JobArrived, PlanComputed
+from repro.types import MB, FileCatalog
+from repro.workload.generator import WorkloadSpec, generate_trace
 from repro.workload.trace import Trace
 
 SIZES = {f"f{i}": 100 for i in range(6)}
@@ -105,3 +111,83 @@ class TestTimedRuns:
         )
         assert r.jobs == 5
         assert r.bytes_staged >= 400
+
+
+class TestSameDecisionsAsBatch:
+    """One service slot and free staging make the SRM a batch replay.
+
+    With one slot a job is decided only after the previous one was
+    accounted, so the SRM must take exactly the decisions
+    :func:`simulate_trace` takes, for every policy.  One drive, slower
+    than the link, stages the files in the sorted order the core decided
+    them, so they enter the cache in the order the batch simulator loads
+    them: ``random`` draws its victims from the residents in that order.
+    The workload is generated for a cache twice the simulated one, so
+    some bundles are unserviceable and that branch of the core is
+    covered too.
+    """
+
+    CACHE = 16 * MB
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        return generate_trace(
+            WorkloadSpec(
+                cache_size=2 * self.CACHE,
+                n_files=60,
+                n_request_types=40,
+                n_jobs=150,
+                popularity="zipf",
+                max_file_fraction=0.1,
+                max_bundle_fraction=0.8,
+                arrival_rate=0.05,
+                seed=5,
+            )
+        )
+
+    @staticmethod
+    def decisions(sink):
+        kinds = (JobArrived, PlanComputed, FileEvicted)
+        return [e for e in sink.events if isinstance(e, kinds)]
+
+    @pytest.mark.parametrize("policy_name", sorted(POLICY_REGISTRY))
+    def test_srm_decides_like_simulate_trace(self, workload, policy_name):
+        batch_sink = RingSink()
+        with TraceRecorder(batch_sink) as rec:
+            batch = simulate_trace(
+                workload,
+                SimulationConfig(cache_size=self.CACHE, policy=policy_name),
+                recorder=rec,
+            ).metrics
+
+        timed_sink = RingSink()
+        with TraceRecorder(timed_sink) as rec, use_recorder(rec):
+            engine = EventEngine()
+            srm = StorageResourceManager(
+                engine,
+                workload.catalog.as_dict(),
+                SRMConfig(
+                    cache_size=self.CACHE,
+                    policy=policy_name,
+                    n_drives=1,
+                    mount_latency=0.0,
+                    drive_bandwidth=1e15,
+                    link=NetworkLink(bandwidth=1e18, latency=0.0),
+                    processing_time=0.0,
+                ),
+                future_bundles=workload.bundles(),
+            )
+            for request in workload:
+                engine.schedule_at(
+                    request.arrival_time, lambda r=request: srm.submit(r)
+                )
+            engine.run()
+        timed = srm.core.metrics.snapshot()
+
+        assert batch.unserviceable > 0
+        assert self.decisions(timed_sink) == self.decisions(batch_sink)
+        assert timed.jobs == batch.jobs
+        assert timed.unserviceable == batch.unserviceable
+        assert timed.request_hits == batch.request_hits
+        assert timed.bytes_requested == batch.bytes_requested
+        assert timed.bytes_demand_loaded == batch.bytes_demand_loaded

@@ -126,7 +126,7 @@ class TestBackoffTiming:
             config(**self.FAULTY),
             patch=lambda s: script_drive_faults(s, [0.5]),
         )
-        assert srm.jobs_done == 1
+        assert srm.result().jobs == 1
         assert srm.retries == 1
         assert srm.response_times.mean == pytest.approx(6.5)
         assert srm.time_lost_to_faults == pytest.approx(1.0 + 2.0)
@@ -172,7 +172,7 @@ class TestRetryExhaustion:
             config(faults=FaultSpec(drive_failure_rate=1.0, seed=0)),
             patch=lambda s: setattr(s.injector, "drive_fault", lambda c: 0.5),
         )
-        assert srm.jobs_done == 0
+        assert srm.result().jobs == 0
         assert srm.requeues == 1
         assert srm.failed_jobs == 1
         # 3 retries per pass, two passes (original + requeue)
@@ -198,8 +198,8 @@ class TestRetryExhaustion:
             patch=patch,
         )
         assert srm.failed_jobs == 1
-        assert srm.jobs_done == 1
-        assert srm.request_hits == 0
+        assert srm.result().jobs == 1
+        assert srm.result().request_hits == 0
 
 
 class TestStagingTimeout:
@@ -212,7 +212,7 @@ class TestStagingTimeout:
         assert srm.retries == 6
         assert srm.requeues == 1
         assert srm.failed_jobs == 1
-        assert srm.jobs_done == 0
+        assert srm.result().jobs == 0
         assert any(isinstance(e, StagingTimeoutError) for e in srm.fault_log)
 
     def test_generous_timeout_changes_nothing(self):
@@ -265,7 +265,7 @@ class TestFailover:
         # attempt 1 picks fast (cheapest), fails at t=1; retry at t=3 must
         # exclude the down site: mss 6.0 + link 1.0 + processing 0.5
         assert srm.failovers == 1
-        assert srm.jobs_done == 1
+        assert srm.result().jobs == 1
         assert srm.response_times.mean == pytest.approx(10.5)
         assert fast.mss.failed_retrievals == 1
         assert slow.mss.retrievals == 1
@@ -302,6 +302,19 @@ class TestDegradedRunsNeverRaise:
         r = run_timed_simulation(
             timed_trace(bundles, gap=2.0),
             config(faults=FaultSpec.uniform(rate, seed=4), staging_timeout=120.0),
+        )
+        optbundle = run_srm(
+            timed_trace(bundles, gap=2.0),
+            config(
+                policy="optbundle",
+                faults=FaultSpec.uniform(rate, seed=4),
+                staging_timeout=120.0,
+            ),
+        )
+        # loads a failed job never received must leave the history's
+        # resident view too, or later plans select around ghosts
+        assert optbundle.policy.history.resident_view() == frozenset(
+            optbundle.cache.residents()
         )
         assert r.jobs + r.failed_jobs + r.unserviceable <= 12
         assert r.jobs + r.failed_jobs > 0
